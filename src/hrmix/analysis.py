@@ -295,14 +295,21 @@ def _grid_from_values(a_values, b_values, p, q, populate) -> GridResult:
     c_pl = np.full(shape, np.nan)
     exp_tl = np.full(shape, np.nan)
     c_l = np.full(shape, np.nan)
+    rows, cols = [], []
     for i, a in enumerate(a_values):
         for j, b in enumerate(b_values):
             if not populate(a, b):
                 continue
+            rows.append(i)
+            cols.append(j)
             c_hm[i, j] = c_hm_binary(a, b, p)
-            c_pl[i, j] = solve_cpl_binary(a, b, p, q)
             exp_tl[i, j] = a**p * b ** (1 - p)
             c_l[i, j] = p * a + (1 - p) * b
+    if rows:
+        # one batched solve for every populated cell
+        a_cells = np.asarray(a_values, dtype=float)[rows]
+        b_cells = np.asarray(b_values, dtype=float)[cols]
+        c_pl[rows, cols] = solve_cpl_binary(a_cells, b_cells, p, q)
     with np.errstate(invalid="ignore"):
         pct_hm_vs_pl = 100.0 * (c_hm - c_pl) / c_pl
         pct_expl_vs_pl = 100.0 * (exp_tl - c_pl) / c_pl

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .errors import (
     SingularVarianceError,
 )
 from .numerics import (
+    _WG,
+    _WK,
+    _XK,
     QuadratureSpec,
     brent_root,
     integrate_semi_infinite,
@@ -68,8 +71,8 @@ __all__ = [
     "wald_test",
 ]
 
-# Residual tolerance for bracketed solves whose residuals are themselves
-# quadrature values: must sit above the quadrature noise floor.
+# Residual tolerance for the binary-limit solves, whose residuals are
+# themselves quadrature values: must sit above the quadrature noise floor.
 _ROOT_TOL = 1e-9
 
 
@@ -244,9 +247,10 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
 
 
 def _validate_binary_args(a, b, p, q):
-    if not (a > 0 and b > 0):
-        raise ValueError("hazard ratios must be positive")
-    if not (0 < p < 1 and 0 < q < 1):
+    a, b, p, q = (np.asarray(v, dtype=float) for v in (a, b, p, q))
+    if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b > 0))):
+        raise ValueError("hazard ratios must be positive and finite")
+    if not (np.all((0 < p) & (p < 1)) and np.all((0 < q) & (q < 1))):
         raise ValueError("p and q must lie in (0, 1)")
 
 
@@ -262,69 +266,11 @@ def _cpl_binary_integrand(c, a, b, p, q):
     return f
 
 
-def solve_cpl_binary(
-    a: float, b: float, p: float, q: float, quad_spec: QuadratureSpec | None = None
-) -> float:
-    """Limit of the pooled-data MPLE hazard ratio for a binary arm indicator.
+def _cpl_binary_adaptive(a, b, p, q, spec, target):
+    """Brent over adaptive quadrature on [0, spec.tail_cut], for one cell.
 
-    Solves, for c, the moment identity
-
-        1 = integral_0^inf [(1-q) e^-u + pqa e^-au + (1-p)qb e^-bu]
-            / [(1-q) e^-u + pqc e^-au + (1-p)qc e^-bu] * e^-u du.
-
-    The right side is strictly decreasing and convex in c, so the solution
-    is unique and lies strictly between a and b; the bracketed solve
-    exploits exactly that.
+    The fallback for every cell the fixed rule cannot certify.
     """
-    _validate_binary_args(a, b, p, q)
-    if a == b:
-        return float(a)
-    lo, hi = min(a, b), max(a, b)
-    spec = quad_spec or QuadratureSpec()
-
-    def resid(c):
-        return integrate_semi_infinite(_cpl_binary_integrand(c, a, b, p, q), spec) - 1.0
-
-    report = brent_root(resid, lo, hi, tol=_ROOT_TOL)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"bracketed solve left residual {report.residual_norm:.3e} above {_ROOT_TOL:.0e}"
-        )
-    return float(report.root[0])
-
-
-def solve_censored_binary(
-    a: float,
-    b: float,
-    p: float,
-    q: float,
-    H: float,
-    quad_spec: QuadratureSpec | None = None,
-) -> float:
-    """Pooled-MPLE limit under administrative censoring, binary covariate.
-
-    ``H`` is the baseline cumulative hazard at the study end, so the
-    moment identity becomes
-
-        1 - e^-H = integral_0^H (same integrand as the uncensored case) du.
-
-    The solution exceeds the uncensored limit for every finite H and
-    decays to it as H grows: censoring always biases the pooled fit
-    toward the null.
-    """
-    _validate_binary_args(a, b, p, q)
-    if not H > 0:
-        raise ValueError("H must be positive")
-    if a == b:
-        return float(a)
-    base = quad_spec or QuadratureSpec()
-    spec = QuadratureSpec(
-        rel_tol=base.rel_tol,
-        abs_tol=base.abs_tol,
-        max_subdivisions=base.max_subdivisions,
-        tail_cut=min(H, base.tail_cut),
-    )
-    target = -math.expm1(-min(H, base.tail_cut))
 
     def resid(c):
         return integrate_semi_infinite(_cpl_binary_integrand(c, a, b, p, q), spec) - target
@@ -335,6 +281,156 @@ def solve_censored_binary(
             f"bracketed solve left residual {report.residual_norm:.3e} above {_ROOT_TOL:.0e}"
         )
     return float(report.root[0])
+
+
+# Fixed composite GK15 rule for the binary limit.  The first panel is
+# [0, _RULE_FIRST / max(a, b, 1)], on which the fastest exponential falls
+# by at most e^-1; the others grow geometrically, each at most
+# exp(_RULE_LOG_RATIO) times the one before, up to the upper limit, so
+# every exponential and every crossing between two of them is resolved at
+# any spread of hazard ratios.  Cells are solved in blocks of _RULE_BLOCK
+# to bound the (cells, panels, 15) temporaries.
+_RULE_FIRST = 1.0
+_RULE_LOG_RATIO = 0.3
+_RULE_BLOCK = 32
+_RULE_MAX_ITER = 50
+
+
+def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, spec):
+    """Newton in c on the fixed rule for a block of cells of one panel count.
+
+    Every argument but ``n_geo`` and ``spec`` is a 1-d array over cells
+    with a != b; ``first`` is the end of each cell's first panel, and
+    ``n_geo`` geometric panels follow it.  On any positive-weight rule the
+    residual is convex and decreasing in c, so Newton from c = min(a, b),
+    clipped to the bracket, climbs monotonically to the root.  Returns the
+    roots and a mask of the cells that are certified: Newton converged,
+    the Kronrod-Gauss error estimate meets the ``spec`` test of
+    :func:`integrate_semi_infinite`, and |residual| <= _ROOT_TOL.  Each
+    cell's arithmetic depends only on its own inputs, so a cell's root
+    does not depend on the block it is solved in.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    frac = np.arange(n_geo + 1) / max(n_geo, 1)
+    edges = np.zeros((a.size, n_geo + 2))
+    edges[:, 1:] = first[:, None] * (upper / first)[:, None] ** frac
+    edges[:, -1] = upper
+    half = 0.5 * np.diff(edges, axis=1)
+    u = (0.5 * (edges[:, 1:] + edges[:, :-1]))[..., None] + half[..., None] * _XK
+    weight = half[..., None] * _WK
+    a3, b3, p3, q3 = (v[:, None, None] for v in (a, b, p, q))
+    e1 = np.exp(-u)
+    ea = p3 * q3 * np.exp(-a3 * u)
+    eb = (1 - p3) * q3 * np.exp(-b3 * u)
+    base = (1 - q3) * e1
+    slow = ea + eb
+    mass = (base + a3 * ea + b3 * eb) * e1
+    c = lo.copy()
+    active = np.ones(a.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_RULE_MAX_ITER):
+            den = base + c[:, None, None] * slow
+            wy = weight * (mass / den)
+            g = wy.sum(axis=(1, 2)) - target
+            slope = -(wy * slow / den).sum(axis=(1, 2))
+            step = np.clip(c - g / slope, lo, hi) - c
+            # a cell is done once its step is down to rounding of c
+            active &= step > 8 * np.finfo(float).eps * c
+            if not active.any():
+                break
+            c = np.where(active, c + step, c)
+        y = mass / (base + c[:, None, None] * slow)
+        kron = (weight * y).sum(axis=2)
+        gauss = (y[..., 1::2] * _WG).sum(axis=2) * half
+        total = kron.sum(axis=1)
+        err = np.abs(kron - gauss).sum(axis=1)
+        certified = (
+            ~active
+            & (err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
+            & (np.abs(total - target) <= _ROOT_TOL)
+        )
+    return c, certified
+
+
+def _pooled_limit_binary(a, b, p, q, upper, target, spec):
+    """Binary pooled limit, broadcast over every argument but ``spec``.
+
+    Solves integral_0^upper (pooled integrand) du = target for c on the
+    fixed rule and sends each cell it cannot certify to the adaptive
+    path.  Returns a float when every argument is scalar.
+    """
+    a, b, p, q, upper, target = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, p, q, upper, target))
+    )
+    out = np.array(a)
+    cells = np.flatnonzero(a != b)
+    cols = [v.ravel()[cells] for v in (a, b, p, q, upper, target)]
+    first = np.minimum(_RULE_FIRST / np.maximum(np.maximum(cols[0], cols[1]), 1.0), cols[4])
+    n_geo = np.ceil(np.log(cols[4] / first) / _RULE_LOG_RATIO).astype(np.int64)
+    roots = np.empty(cells.size)
+    for n in sorted(set(n_geo.tolist())):
+        group = np.flatnonzero(n_geo == n)
+        for start in range(0, group.size, _RULE_BLOCK):
+            block = group[start : start + _RULE_BLOCK]
+            args = [v[block] for v in cols]
+            roots[block], certified = _cpl_binary_rule(*args, first[block], n, spec)
+            for i in block[~certified]:
+                ai, bi, pi, qi, ui, ti = (float(v[i]) for v in cols)
+                roots[i] = _cpl_binary_adaptive(ai, bi, pi, qi, replace(spec, tail_cut=ui), ti)
+    out.reshape(-1)[cells] = roots
+    return float(out) if out.ndim == 0 else out
+
+
+def solve_cpl_binary(a, b, p, q, quad_spec: QuadratureSpec | None = None):
+    """Limit of the pooled-data MPLE hazard ratio for a binary arm indicator.
+
+    Solves, for c, the moment identity
+
+        1 = integral_0^inf [(1-q) e^-u + pqa e^-au + (1-p)qb e^-bu]
+            / [(1-q) e^-u + pqc e^-au + (1-p)qc e^-bu] * e^-u du,
+
+    truncated at ``quad_spec.tail_cut``.  The right side is strictly
+    decreasing and convex in c, so the solution is unique and lies
+    strictly between a and b.
+
+    ``a``, ``b``, ``p`` and ``q`` broadcast against each other: scalars
+    give a float, arrays an array of limits, one per cell.  All cells are
+    solved together by Newton iteration from c = min(a, b) on a fixed
+    composite Gauss-Kronrod rule whose panels grow geometrically from
+    u = 0, the first one scaled to 1/max(a, b, 1).  A cell is accepted
+    when its Kronrod-Gauss error estimate meets the ``quad_spec``
+    tolerances, as in :func:`integrate_semi_infinite`, and its residual
+    is at most 1e-9; any other cell falls back to a Brent solve over
+    adaptive quadrature.  A cell with a == b returns a exactly.
+    """
+    _validate_binary_args(a, b, p, q)
+    spec = quad_spec or QuadratureSpec()
+    return _pooled_limit_binary(a, b, p, q, spec.tail_cut, 1.0, spec)
+
+
+def solve_censored_binary(a, b, p, q, H, quad_spec: QuadratureSpec | None = None):
+    """Pooled-MPLE limit under administrative censoring, binary covariate.
+
+    ``H`` is the baseline cumulative hazard at the study end, so the
+    moment identity becomes
+
+        1 - e^-H = integral_0^H (same integrand as the uncensored case) du,
+
+    with H capped at ``quad_spec.tail_cut``.  The solution exceeds the
+    uncensored limit for every finite H and decays to it as H grows:
+    censoring always biases the pooled fit toward the null.
+
+    ``a``, ``b``, ``p``, ``q`` and ``H`` broadcast against each other and
+    are solved as in :func:`solve_cpl_binary`: Newton on the same fixed
+    rule over [0, min(H, tail_cut)], certified by the same test, with
+    the adaptive Brent solve as the fallback.
+    """
+    _validate_binary_args(a, b, p, q)
+    if not np.all(np.asarray(H) > 0):
+        raise ValueError("H must be positive")
+    spec = quad_spec or QuadratureSpec()
+    upper = np.minimum(H, spec.tail_cut)
+    return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper), spec)
 
 
 def _pl_residual(alpha, beta, p, dist, quad_spec):
@@ -561,19 +657,10 @@ def var_theta_hm_general(aggregates, dist: CovariateDistribution) -> np.ndarray:
     Differentiating the score equation implicitly gives one small linear
     system per input component; the sensitivities then sandwich the
     per-trial covariances.  For k = 1 binary covariates this reproduces
-    the closed-form variance exactly.
+    the closed-form variance exactly.  This is the covariance that
+    :func:`theta_hm_estimate` attaches to its estimate.
     """
-    if len(aggregates) != 2:
-        raise ValueError("the harmonic-mean pipeline is defined for exactly 2 trials")
-    k = _check_aggregates(aggregates)
-    if k != dist.k:
-        raise DimensionMismatchError("aggregates and covariate law disagree on dimension")
-    first, second = aggregates
-    p = _mixing_p(aggregates)
-    theta = solve_theta_hm_general(first.beta_hat, second.beta_hat, p, dist)
-    return _hm_covariance(
-        first.beta_hat, second.beta_hat, first.covariance, second.covariance, p, dist, theta
-    )
+    return theta_hm_estimate(aggregates, dist).covariance
 
 
 def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:

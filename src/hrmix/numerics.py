@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BadBracketError,
@@ -214,6 +213,9 @@ def brent_root(g: Callable[[float], float], lo: float, hi: float, tol: float) ->
         raise BadBracketError(
             f"g has the same sign at both endpoints: g({lo})={glo:.3e}, g({hi})={ghi:.3e}"
         )
+    # deferred: importing scipy.optimize costs more than most solves
+    from scipy.optimize import brentq
+
     x, info = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200, full_output=True)
     resid = abs(float(g(x)))
     return SolveReport(

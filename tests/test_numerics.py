@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hrmix
 from hrmix import (
     BadBracketError,
     DomainError,
@@ -116,6 +121,20 @@ class TestBrentRoot:
         base = brent_root(g, 0.0, 2.0, tol=1e-12).root[0]
         wide = brent_root(g, -widen, 2.0 + widen, tol=1e-12).root[0]
         assert wide == pytest.approx(base, abs=1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # brent_root imports scipy.optimize on first use; the package and CLI must not
+    code = "import sys, hrmix, hrmix.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(hrmix.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestNewtonNd:
