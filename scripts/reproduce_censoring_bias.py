@@ -24,7 +24,9 @@ def main():
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--replicates", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=20260808)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     parser.add_argument(
         "--tmax-grid",
         default="1,2,3,4,5,6,7,8,9,10,inf",

@@ -53,7 +53,7 @@ from .data import (
     simulate_trial,
     write_patient_csv,
 )
-from .cox import BreslowCurve, CoxFit, breslow_cumhaz, fit_cox
+from .cox import BreslowCurve, CoxFit, CoxRows, breslow_cumhaz, fit_cox, fit_cox_rows
 from .estimators import (
     CombinedEffect,
     CombineMethod,

@@ -339,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads; results are identical for any value, and 1 is "
-        "usually fastest for small trials (the per-replicate work is GIL-bound)",
+        help="accepted for compatibility and has no effect: replicates are "
+        "fitted in batches on one thread, and results never depend on it",
     )
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", required=True)

@@ -183,6 +183,19 @@ def _check_aggregates(aggregates) -> int:
     return k
 
 
+def _two_trials(aggregates, dist: CovariateDistribution, estimate: str):
+    """Validate the two-trial input of a plug-in estimate.
+
+    Returns the two aggregates and the mixing proportion of the first.
+    """
+    if len(aggregates) != 2:
+        raise ValueError(f"the {estimate} is defined for exactly 2 trials")
+    if _check_aggregates(aggregates) != dist.k:
+        raise DimensionMismatchError("aggregates and covariate law disagree on dimension")
+    first, second = aggregates
+    return first, second, _mixing_p(aggregates)
+
+
 def _weight_matrix(aggregates, scheme: WeightScheme) -> np.ndarray:
     """Per-trial, per-component weight rows summing to one over trials."""
     m = len(aggregates)
@@ -551,13 +564,7 @@ def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     covariance propagates the per-trial covariances through
     finite-difference sensitivities of the solution.
     """
-    if len(aggregates) != 2:
-        raise ValueError("the plug-in estimate is defined for exactly 2 trials")
-    k = _check_aggregates(aggregates)
-    if k != dist.k:
-        raise DimensionMismatchError("aggregates and covariate law disagree on dimension")
-    first, second = aggregates
-    p = _mixing_p(aggregates)
+    first, second, p = _two_trials(aggregates, dist, "plug-in estimate")
     theta = solve_theta_pl_general(first.beta_hat, second.beta_hat, p, dist)
     j_a, j_b = theta_pl_sensitivity(first.beta_hat, second.beta_hat, p, dist)
     cov = j_a @ first.covariance @ j_a.T + j_b @ second.covariance @ j_b.T
@@ -665,13 +672,7 @@ def var_theta_hm_general(aggregates, dist: CovariateDistribution) -> np.ndarray:
 
 def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     """Harmonic-mean combined effect with delta-method covariance."""
-    if len(aggregates) != 2:
-        raise ValueError("the harmonic-mean pipeline is defined for exactly 2 trials")
-    k = _check_aggregates(aggregates)
-    if k != dist.k:
-        raise DimensionMismatchError("aggregates and covariate law disagree on dimension")
-    first, second = aggregates
-    p = _mixing_p(aggregates)
+    first, second, p = _two_trials(aggregates, dist, "harmonic-mean pipeline")
     theta = solve_theta_hm_general(first.beta_hat, second.beta_hat, p, dist)
     cov = _hm_covariance(
         first.beta_hat, second.beta_hat, first.covariance, second.covariance, p, dist, theta
