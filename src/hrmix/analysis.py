@@ -258,19 +258,20 @@ def bias_sweep(
     theta_m = _sweep_plugin(alpha, beta, p, binary_q, scenario.covariate_dist)
 
     failed = ~np.isfinite(theta_pl) | ~np.isfinite(theta_m)
+    # failed cells drop out; a study end where all failed is zero-filled so
+    # that numpy meets no empty slice, and its summaries are then set to NaN
+    empty = failed.all(axis=0)
+    fill = np.where(empty, 0.0, np.nan)
 
-    def summarize(values):
-        vals = np.where(failed, np.nan, values)
-        with np.errstate(all="ignore"):
-            mean = np.nanmean(vals, axis=0)
-            lo = np.nanpercentile(vals, 2.5, axis=0)
-            hi = np.nanpercentile(vals, 97.5, axis=0)
-        return mean, lo, hi
+    def summarize(values, *percentiles):
+        vals = np.where(failed, fill, values)
+        stats = [np.nanmean(vals, axis=0)]
+        stats += [np.nanpercentile(vals, q, axis=0) for q in percentiles]
+        return [np.where(empty, np.nan, v) for v in stats]
 
-    pl_mean, pl_lo, pl_hi = summarize(theta_pl)
-    m_mean, m_lo, m_hi = summarize(theta_m)
-    with np.errstate(all="ignore"):
-        frac_mean = np.nanmean(np.where(failed, np.nan, frac), axis=0)
+    pl_mean, pl_lo, pl_hi = summarize(theta_pl, 2.5, 97.5)
+    m_mean, m_lo, m_hi = summarize(theta_m, 2.5, 97.5)
+    (frac_mean,) = summarize(frac)
     return SweepResult(
         t_max=grid,
         theta_pl_mean=pl_mean,

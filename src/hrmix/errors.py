@@ -22,7 +22,7 @@ class SingularMatrixError(HrmixError):
 
 
 class SingularJacobianError(SingularMatrixError):
-    """A finite-difference Jacobian was singular at a Newton iterate."""
+    """A Newton iteration met a singular Jacobian."""
 
 
 class DimensionMismatchError(HrmixError):

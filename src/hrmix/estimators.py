@@ -78,7 +78,7 @@ _ROOT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TrialAggregate:
-    """Per-trial summary: log-HR estimate, its covariance, subject count."""
+    """Per-trial summary: finite log-HR estimate and covariance, subject count."""
 
     beta_hat: np.ndarray
     covariance: np.ndarray
@@ -91,6 +91,10 @@ class TrialAggregate:
         k = beta.shape[0]
         if cov.shape != (k, k):
             raise DimensionMismatchError(f"covariance must be {k}x{k}, got {cov.shape}")
+        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(cov))):
+            raise ValueError("beta_hat and covariance must be finite")
+        if np.any(np.diag(cov) < 0):
+            raise ValueError("variances must be nonnegative")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
         if self.size < 1:
@@ -296,17 +300,47 @@ def _cpl_binary_adaptive(a, b, p, q, spec, target):
     return float(report.root[0])
 
 
-# Fixed composite GK15 rule for the binary limit.  The first panel is
-# [0, _RULE_FIRST / max(a, b, 1)], on which the fastest exponential falls
-# by at most e^-1; the others grow geometrically, each at most
-# exp(_RULE_LOG_RATIO) times the one before, up to the upper limit, so
-# every exponential and every crossing between two of them is resolved at
-# any spread of hazard ratios.  Cells are solved in blocks of _RULE_BLOCK
-# to bound the (cells, panels, 15) temporaries.
+# Fixed composite GK15 rule for the pooled limits.  The first panel is
+# [0, _RULE_FIRST / r] with r the fastest rate (max(a, b, 1) for the binary
+# law), on which the fastest exponential falls by at most e^-1; the others
+# grow geometrically, each at most exp(_RULE_LOG_RATIO) times the one
+# before, up to the upper limit, so every exponential and every crossing
+# between two of them is resolved at any spread of hazard ratios.  Binary
+# cells are solved in blocks of _RULE_BLOCK to bound the (cells, panels,
+# 15) temporaries.
 _RULE_FIRST = 1.0
 _RULE_LOG_RATIO = 0.3
 _RULE_BLOCK = 32
 _RULE_MAX_ITER = 50
+
+
+def _rule_panels(fastest, upper):
+    """End of the first panel and count of geometric panels up to ``upper``."""
+    first = np.minimum(_RULE_FIRST / fastest, upper)
+    return first, np.ceil(np.log(upper / first) / _RULE_LOG_RATIO).astype(np.int64)
+
+
+def _rule_nodes(first, upper, n_geo):
+    """Nodes and Kronrod weights, shape S + (panels, 15), and half-widths.
+
+    S is the common shape of ``first`` and ``upper``.
+    """
+    frac = np.arange(n_geo + 1) / max(n_geo, 1)
+    edges = np.zeros(first.shape + (n_geo + 2,))
+    edges[..., 1:] = first[..., None] * (upper / first)[..., None] ** frac
+    edges[..., -1] = upper
+    half = 0.5 * np.diff(edges, axis=-1)
+    u = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None] + half[..., None] * _XK
+    return u, half[..., None] * _WK, half
+
+
+def _rule_certified(y, weight, half, spec):
+    """Kronrod totals of ``y`` and a mask of those whose Kronrod-Gauss error passes ``spec``."""
+    kron = (weight * y).sum(axis=-1)
+    gauss = (y[..., 1::2] * _WG).sum(axis=-1) * half
+    total = kron.sum(axis=-1)
+    err = np.abs(kron - gauss).sum(axis=-1)
+    return total, err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
 
 
 def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, spec):
@@ -324,13 +358,7 @@ def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, spec):
     does not depend on the block it is solved in.
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    frac = np.arange(n_geo + 1) / max(n_geo, 1)
-    edges = np.zeros((a.size, n_geo + 2))
-    edges[:, 1:] = first[:, None] * (upper / first)[:, None] ** frac
-    edges[:, -1] = upper
-    half = 0.5 * np.diff(edges, axis=1)
-    u = (0.5 * (edges[:, 1:] + edges[:, :-1]))[..., None] + half[..., None] * _XK
-    weight = half[..., None] * _WK
+    u, weight, half = _rule_nodes(first, upper, n_geo)
     a3, b3, p3, q3 = (v[:, None, None] for v in (a, b, p, q))
     e1 = np.exp(-u)
     ea = p3 * q3 * np.exp(-a3 * u)
@@ -353,15 +381,8 @@ def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, spec):
                 break
             c = np.where(active, c + step, c)
         y = mass / (base + c[:, None, None] * slow)
-        kron = (weight * y).sum(axis=2)
-        gauss = (y[..., 1::2] * _WG).sum(axis=2) * half
-        total = kron.sum(axis=1)
-        err = np.abs(kron - gauss).sum(axis=1)
-        certified = (
-            ~active
-            & (err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
-            & (np.abs(total - target) <= _ROOT_TOL)
-        )
+        total, within = _rule_certified(y, weight, half, spec)
+        certified = ~active & within & (np.abs(total - target) <= _ROOT_TOL)
     return c, certified
 
 
@@ -378,8 +399,7 @@ def _pooled_limit_binary(a, b, p, q, upper, target, spec):
     out = np.array(a)
     cells = np.flatnonzero(a != b)
     cols = [v.ravel()[cells] for v in (a, b, p, q, upper, target)]
-    first = np.minimum(_RULE_FIRST / np.maximum(np.maximum(cols[0], cols[1]), 1.0), cols[4])
-    n_geo = np.ceil(np.log(cols[4] / first) / _RULE_LOG_RATIO).astype(np.int64)
+    first, n_geo = _rule_panels(np.maximum(np.maximum(cols[0], cols[1]), 1.0), cols[4])
     roots = np.empty(cells.size)
     for n in sorted(set(n_geo.tolist())):
         group = np.flatnonzero(n_geo == n)
@@ -446,112 +466,127 @@ def solve_censored_binary(a, b, p, q, H, quad_spec: QuadratureSpec | None = None
     return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper), spec)
 
 
-def _pl_residual(alpha, beta, p, dist, quad_spec):
-    """Residual of the pooled-limit estimating equation, general covariates.
-
-    The semi-infinite integral is evaluated in the rescaled variable
-    s = r * u with r the slowest hazard rate over trials and support
-    points, so the rescaled integrand decays at least like e^-s and the
-    quadrature tail cut stays harmless for small hazard ratios.
-    """
-    z = dist.support  # (m, k)
-    pi = dist.probs
-    mean_z = dist.mean
-    ra = np.exp(z @ alpha)  # per-point hazard ratios, trial 1
-    rb = np.exp(z @ beta)
-    rate = float(min(ra.min(), rb.min()))
-    mass_a = pi * ra
-    mass_b = pi * rb
-    k = z.shape[1]
-
-    def residual(theta):
-        et = np.exp(z @ theta)
-        pe = pi * et
-        out = np.empty(k)
-        for j in range(k):
-            zj = z[:, j]
-
-            def f(s):
-                u = s[:, None] / rate
-                da = np.exp(-u * ra)  # (n_nodes, m)
-                db = np.exp(-u * rb)
-                den = p * (da @ pe) + (1 - p) * (db @ pe)
-                num = p * (da @ (pe * zj)) + (1 - p) * (db @ (pe * zj))
-                mass = p * (da @ mass_a) + (1 - p) * (db @ mass_b)
-                return num / den * mass / rate
-
-            out[j] = integrate_semi_infinite(f, quad_spec) - mean_z[j]
-        return out
-
-    return residual
-
-
-def solve_theta_pl_general(
-    alpha,
-    beta,
-    p: float,
-    dist: CovariateDistribution,
-    quad_spec: QuadratureSpec | None = None,
-    newton_tol: float = 1e-9,
-    x0=None,
-) -> np.ndarray:
-    """Limit of the pooled-data MPLE log hazard ratio, general covariates.
-
-    Solves the k-dimensional estimating equation whose expectations over Z
-    are finite sums against ``dist`` and whose outer integral is handled
-    by adaptive quadrature.  Newton starts from the size-weighted
-    combination p*alpha + (1-p)*beta unless ``x0`` overrides it.
-    Uniqueness in the multivariate case is not asserted; a failed solve
-    surfaces as NonConvergenceError rather than a wrong answer.
-    """
+def _limit_args(alpha, beta, p, dist):
+    """Validate the inputs of a general combined-effect solver."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if alpha.shape != beta.shape or alpha.shape != (dist.k,):
         raise DimensionMismatchError("alpha, beta, and the covariate law disagree on dimension")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
-    spec = quad_spec or QuadratureSpec()
-    residual = _pl_residual(alpha, beta, p, dist, spec)
-    start = p * alpha + (1 - p) * beta if x0 is None else np.asarray(x0, dtype=float)
-    report = newton_nd(residual, start, tol=newton_tol, max_iter=60)
-    return report.root
+    return alpha, beta
 
 
-# Tight settings for sensitivity solves: finite differences divide the
-# solver noise by the 1e-5 step, so the base solves must be much cleaner.
-_SENS_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
-_SENS_TOL = 1e-11
+def _pl_equation(alpha, beta, p, dist):
+    """The general pooled-limit estimating equation on the fixed rule.
 
+    In the baseline cumulative hazard u, R(theta) = integral_0^inf
+    S1/S0 M du - E(Z) with S_r = sum_i pi_i e^{theta'z_i} z_i^r D_i(u),
+    D_i = p e^{-u ra_i} + (1-p) e^{-u rb_i}, ra_i = e^{alpha'z_i},
+    rb_i = e^{beta'z_i}, and the event density M = -sum_i pi_i D_i'.
+    The partial likelihood ignores a shift of Z, so Z is measured from
+    the last support point; the integrand then decays like the slowest
+    rate of the other points, and the last panel ends where that rate
+    has decayed by e^-tail_cut.  For the {0, 1} law the residual is
+    -(1-q) times the binary one on the same panels.
 
-def theta_pl_sensitivity(
-    alpha, beta, p: float, dist: CovariateDistribution, step: float = 1e-5
-):
-    """Central-difference sensitivities of the pooled limit to each input.
-
-    Returns (J_alpha, J_beta): k x k matrices whose column j holds the
-    derivative of the solution with respect to alpha_j (resp. beta_j).
-    At alpha = beta symmetry forces J_alpha + J_beta = I.
+    Returns ``equation(theta, inputs=False)``: R(theta), dR/dtheta and
+    whether the rule certifies R, then with ``inputs`` dR/dalpha and
+    dR/dbeta, all differentiated under the integral in one pass.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    k = alpha.shape[0]
-    base = solve_theta_pl_general(
-        alpha, beta, p, dist, quad_spec=_SENS_QUAD, newton_tol=_SENS_TOL
-    )
+    if dist.support.shape[0] < 2:
+        raise ValueError("the pooled limit needs a covariate law with two or more points")
+    z, pi = dist.support, dist.probs
+    ra, rb = np.exp(z @ alpha), np.exp(z @ beta)
+    spec = QuadratureSpec()
+    upper = np.array(spec.tail_cut / np.minimum(ra[:-1], rb[:-1]).min())
+    first, n_geo = _rule_panels(max(ra.max(), rb.max()), upper)
+    u, weight, half = _rule_nodes(first, upper, int(n_geo))
+    u, flat = u.reshape(-1, 1), weight.ravel()
+    ea, eb = p * np.exp(-u * ra), (1 - p) * np.exp(-u * rb)  # (nodes, points)
+    mass = ea @ (pi * ra) + eb @ (pi * rb)
+    zs = z - z[-1]
 
-    def solve_at(al, be):
-        return solve_theta_pl_general(
-            al, be, p, dist, quad_spec=_SENS_QUAD, newton_tol=_SENS_TOL, x0=base
-        )
+    def equation(theta, inputs=False):
+        # a Newton trial step can overflow e^{theta'z}; the non-finite
+        # residual makes Newton halve the step, and the certificate fails
+        with np.errstate(all="ignore"):
+            e = pi * np.exp(zs @ theta)
+            w = (ea + eb) * e
+            s0 = w.sum(axis=1)
+            xbar = (w @ zs) / s0[:, None]
+            y = (xbar * mass[:, None]).T.reshape((-1,) + weight.shape)
+            total, within = _rule_certified(y, weight, half, spec)
+            # dR/dtheta: the risk-set covariance of Z against the event density
+            wm = flat * mass
+            g = wm / s0
+            jac = (zs * (g @ w)[:, None]).T @ zs - (xbar * wm[:, None]).T @ xbar
+            out = [total - pi @ zs, jac, bool(within.all())]
+            for ex, rate in ((ea, ra), (eb, rb)) if inputs else ():
+                # alpha moves D_i by -u ra_i z_i p e^{-u ra_i} and M by
+                # pi_i ra_i (1 - u ra_i) z_i p e^{-u ra_i}; beta likewise
+                via_d = g[:, None] * u * ex * (e * rate)
+                via_m = flat[:, None] * ex * (pi * rate) * (1 - u * rate)
+                d_input = xbar.T @ ((via_d + via_m) @ z)
+                out.append(d_input - (zs * via_d.sum(axis=0)[:, None]).T @ z)
+        return out
 
-    j_alpha = np.empty((k, k))
-    j_beta = np.empty((k, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = step
-        j_alpha[:, j] = (solve_at(alpha + e, beta) - solve_at(alpha - e, beta)) / (2 * step)
-        j_beta[:, j] = (solve_at(alpha, beta + e) - solve_at(alpha, beta - e)) / (2 * step)
-    return j_alpha, j_beta
+    return equation
+
+
+def _pl_root(alpha, beta, p, dist):
+    """The general pooled limit and the equation it solves."""
+    alpha, beta = _limit_args(alpha, beta, p, dist)
+    equation = _pl_equation(alpha, beta, p, dist)
+    if np.array_equal(alpha, beta):
+        return alpha.copy(), equation
+    start = p * alpha + (1 - p) * beta
+    theta = newton_nd(lambda t: equation(t)[:2], start, tol=_ROOT_TOL, max_iter=60).root
+    # Newton converges quadratically, so two more steps take a root with
+    # |R| <= _ROOT_TOL down to the rounding floor of R even where R is flat
+    for _ in range(2):
+        resid, jac, within = equation(theta)
+        if not within:
+            raise NonConvergenceError("the fixed rule cannot certify the pooled-limit root")
+        theta = theta - solve_linear(jac, resid)
+    return theta, equation
+
+
+def solve_theta_pl_general(alpha, beta, p: float, dist: CovariateDistribution) -> np.ndarray:
+    """Limit of the pooled-data MPLE log hazard ratio, general covariates.
+
+    Solves the k-dimensional estimating equation, whose expectations over
+    Z are finite sums against ``dist``, on the fixed composite rule of
+    :func:`solve_cpl_binary` by Newton with the analytic Jacobian from
+    p*alpha + (1-p)*beta; alpha == beta returns alpha exactly.  Uniqueness
+    for k > 1 is not asserted.  A root whose Kronrod-Gauss error estimate
+    misses the default quadrature tolerances raises NonConvergenceError.
+    """
+    return _pl_root(alpha, beta, p, dist)[0]
+
+
+def _ift_sensitivities(jac, d_alpha, d_beta):
+    """J_alpha = -(dR/dtheta)^-1 dR/dalpha and J_beta of a root of R."""
+    return solve_linear(jac, -d_alpha), solve_linear(jac, -d_beta)
+
+
+def _sandwich(jac, d_alpha, d_beta, cov_a, cov_b):
+    """Delta-method covariance of a root of R from the per-trial covariances."""
+    j_a, j_b = _ift_sensitivities(jac, d_alpha, d_beta)
+    cov = j_a @ cov_a @ j_a.T + j_b @ cov_b @ j_b.T
+    return 0.5 * (cov + cov.T)
+
+
+def theta_pl_sensitivity(alpha, beta, p: float, dist: CovariateDistribution):
+    """Sensitivities (J_alpha, J_beta) of the pooled limit to its inputs.
+
+    Column j of J_alpha holds the derivative with respect to alpha_j, from
+    the implicit-function theorem J_alpha = -(dR/dtheta)^-1 dR/dalpha on
+    the residual R.  At alpha = beta symmetry forces J_alpha + J_beta = I.
+    """
+    theta, equation = _pl_root(alpha, beta, p, dist)
+    _, jac, _, d_alpha, d_beta = equation(theta, inputs=True)
+    return _ift_sensitivities(jac, d_alpha, d_beta)
 
 
 def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
@@ -561,14 +596,14 @@ def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     their sizes.  The per-trial estimates are consistent for the true log
     hazard ratios whether or not the underlying data were censored, so
     this estimate stays unbiased for the uncensored pooled limit.  The
-    covariance propagates the per-trial covariances through
-    finite-difference sensitivities of the solution.
+    covariance is the delta-method sandwich of the per-trial covariances
+    with the implicit-function sensitivities of :func:`theta_pl_sensitivity`.
     """
     first, second, p = _two_trials(aggregates, dist, "plug-in estimate")
-    theta = solve_theta_pl_general(first.beta_hat, second.beta_hat, p, dist)
-    j_a, j_b = theta_pl_sensitivity(first.beta_hat, second.beta_hat, p, dist)
-    cov = j_a @ first.covariance @ j_a.T + j_b @ second.covariance @ j_b.T
-    return CombinedEffect(CombineMethod.MISSPECIFIED, theta, 0.5 * (cov + cov.T), p)
+    theta, equation = _pl_root(first.beta_hat, second.beta_hat, p, dist)
+    _, jac, _, d_a, d_b = equation(theta, inputs=True)
+    cov = _sandwich(jac, d_a, d_b, first.covariance, second.covariance)
+    return CombinedEffect(CombineMethod.MISSPECIFIED, theta, cov, p)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +620,15 @@ def c_hm_binary(a: float, b: float, p: float) -> float:
     return 1.0 / (p / a + (1 - p) / b)
 
 
-def _hm_weights(theta, alpha, beta, p, dist):
-    """Pointwise weights of the working-model score equation."""
+def _hm_equation(theta, alpha, beta, p, dist):
+    """Working-model score residual R(theta), dR/dtheta, dR/dalpha, dR/dbeta."""
     z = dist.support
-    pi = dist.probs
-    et = np.exp(z @ theta)
-    wa = pi * et * p * np.exp(-z @ alpha)
-    wb = pi * et * (1 - p) * np.exp(-z @ beta)
-    return z, wa, wb
+    et = dist.probs * np.exp(z @ theta)
+    wa = et * p * np.exp(-z @ alpha)
+    wb = et * (1 - p) * np.exp(-z @ beta)
+    d_a = (z * wa[:, None]).T @ z
+    d_b = (z * wb[:, None]).T @ z
+    return (wa + wb) @ z - dist.mean, d_a + d_b, -d_a, -d_b
 
 
 def solve_theta_hm_general(
@@ -606,17 +642,10 @@ def solve_theta_hm_general(
     the log of the size-weighted harmonic mean, independent of the arm
     probability.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if alpha.shape != beta.shape or alpha.shape != (dist.k,):
-        raise DimensionMismatchError("alpha, beta, and the covariate law disagree on dimension")
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    mean_z = dist.mean
+    alpha, beta = _limit_args(alpha, beta, p, dist)
 
     def residual(theta):
-        z, wa, wb = _hm_weights(theta, alpha, beta, p, dist)
-        return (wa + wb) @ z - mean_z
+        return _hm_equation(theta, alpha, beta, p, dist)[:2]
 
     report = newton_nd(residual, p * alpha + (1 - p) * beta, tol=tol, max_iter=60)
     return report.root
@@ -645,27 +674,11 @@ def var_theta_hm_binary(
     return num / den
 
 
-def _hm_covariance(alpha, beta, cov_a, cov_b, p, dist, theta) -> np.ndarray:
-    z, wa, wb = _hm_weights(theta, alpha, beta, p, dist)
-    # implicit-function linear system: A d_theta = per-input moment matrices
-    a_mat = (z * (wa + wb)[:, None]).T @ z
-    rhs_a = (z * wa[:, None]).T @ z
-    rhs_b = (z * wb[:, None]).T @ z
-    k = z.shape[1]
-    j_a = np.column_stack([solve_linear(a_mat, rhs_a[:, j]) for j in range(k)])
-    j_b = np.column_stack([solve_linear(a_mat, rhs_b[:, j]) for j in range(k)])
-    cov = j_a @ cov_a @ j_a.T + j_b @ cov_b @ j_b.T
-    return 0.5 * (cov + cov.T)
-
-
 def var_theta_hm_general(aggregates, dist: CovariateDistribution) -> np.ndarray:
     """Delta-method covariance of the general harmonic-mean effect.
 
-    Differentiating the score equation implicitly gives one small linear
-    system per input component; the sensitivities then sandwich the
-    per-trial covariances.  For k = 1 binary covariates this reproduces
-    the closed-form variance exactly.  This is the covariance that
-    :func:`theta_hm_estimate` attaches to its estimate.
+    It is the implicit-function sandwich :func:`theta_hm_estimate` attaches;
+    for k = 1 binary covariates it equals the closed-form variance.
     """
     return theta_hm_estimate(aggregates, dist).covariance
 
@@ -674,9 +687,8 @@ def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect
     """Harmonic-mean combined effect with delta-method covariance."""
     first, second, p = _two_trials(aggregates, dist, "harmonic-mean pipeline")
     theta = solve_theta_hm_general(first.beta_hat, second.beta_hat, p, dist)
-    cov = _hm_covariance(
-        first.beta_hat, second.beta_hat, first.covariance, second.covariance, p, dist, theta
-    )
+    _, jac, d_a, d_b = _hm_equation(theta, first.beta_hat, second.beta_hat, p, dist)
+    cov = _sandwich(jac, d_a, d_b, first.covariance, second.covariance)
     return CombinedEffect(CombineMethod.HARMONIC_MEAN, theta, cov, p)
 
 

@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
 Adaptive quadrature over (0, inf) for exponentially decaying integrands,
-bracketed scalar root finding, a damped multivariate Newton iteration with
-finite-difference Jacobians, and small dense linear solves.  Every routine
-is a pure function of its inputs and safe to call concurrently from
-multiple threads; the quadrature in particular keeps no module state so
-that parallel replicate studies stay deterministic.
+the nodes and weights of the Gauss-Kronrod 7-15 rule it is built on,
+bracketed scalar root finding, a damped multivariate Newton iteration on
+caller-supplied Jacobians, and small dense linear solves.  Every routine
+is a pure function of its inputs and keeps no module state, so results
+never depend on call order.
 """
 
 from __future__ import annotations
@@ -226,20 +226,6 @@ def brent_root(g: Callable[[float], float], lo: float, hi: float, tol: float) ->
     )
 
 
-def _fd_jacobian(F: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    # central differences, step max(1e-6, 1e-6*|x_i|) per coordinate
-    n = x.size
-    jac = np.empty((fx.size, n))
-    for i in range(n):
-        h = max(1e-6, 1e-6 * abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float)) / (2 * h)
-    return jac
-
-
 def newton_nd(
     F: Callable,
     x0,
@@ -248,23 +234,23 @@ def newton_nd(
 ) -> SolveReport:
     """Solve the square system F(x) = 0 by damped Newton iteration.
 
-    The Jacobian is approximated by central finite differences.  When a
-    full Newton step fails to reduce the max-norm of the residual, the
-    step is halved (up to 20 times) before the iteration is declared
-    stalled.  On a linear system the finite-difference Jacobian is exact
-    and convergence takes at most two iterations.
+    ``F(x)`` returns the residual and the Jacobian as arrays of shapes
+    (n,) and (n, n), column j of the Jacobian holding the derivatives
+    with respect to x_j.  When a full Newton step fails to reduce the
+    max-norm of the residual, the step is halved (up to 20 times) before
+    the iteration is declared stalled.  On a linear system convergence
+    takes one iteration.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx = np.atleast_1d(np.asarray(F(x), dtype=float))
-    if fx.shape != x.shape:
-        raise ValueError(f"F must map R^{x.size} to R^{x.size}, got shape {fx.shape}")
+    fx, jac = F(x)
+    if fx.shape != x.shape or jac.shape != (x.size, x.size):
+        raise ValueError(f"F must return shapes ({x.size},) and ({x.size}, {x.size})")
     if not np.all(np.isfinite(fx)):
         raise NonConvergenceError("residual non-finite at the starting point")
     norm = float(np.max(np.abs(fx)))
     for it in range(max_iter):
         if norm <= tol:
             return SolveReport(x, norm, it, True)
-        jac = _fd_jacobian(F, x, fx)
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError as exc:
@@ -275,10 +261,10 @@ def newton_nd(
         accepted = False
         for _ in range(20):
             x_new = x + damp * step
-            f_new = np.atleast_1d(np.asarray(F(x_new), dtype=float))
+            f_new, jac_new = F(x_new)
             norm_new = float(np.max(np.abs(f_new))) if np.all(np.isfinite(f_new)) else np.inf
             if norm_new < norm:
-                x, fx, norm = x_new, f_new, norm_new
+                x, fx, jac, norm = x_new, f_new, jac_new, norm_new
                 accepted = True
                 break
             damp *= 0.5

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hrmix.analysis import (
     write_ordering_csv,
     write_sweep_csv,
 )
+from hrmix.data import scenario_with
 
 from conftest import EXAMPLE3_P
 
@@ -101,6 +103,29 @@ class TestBiasSweep:
         np.testing.assert_array_equal(threaded.theta_pl_mean, small_sweep.theta_pl_mean)
         np.testing.assert_array_equal(threaded.theta_m_mean, small_sweep.theta_m_mean)
         np.testing.assert_array_equal(threaded.censored_fraction, small_sweep.censored_fraction)
+
+    def test_study_end_where_every_replicate_fails(self, example3_scenario):
+        # tiny trials: every fit fails at t_max = 0.01, about half survive
+        # without censoring
+        tiny = scenario_with(example3_scenario, sizes=(7, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = bias_sweep(tiny, [0.01, math.inf], replicates=100)
+        assert result.n_failed[0] == 100 and result.n_failed[1] < 100
+        fields = (
+            "theta_pl_mean",
+            "theta_pl_lo",
+            "theta_pl_hi",
+            "theta_m_mean",
+            "theta_m_lo",
+            "theta_m_hi",
+            "censored_fraction",
+        )
+        assert all(np.isnan(getattr(result, f)[0]) for f in fields)
+        # the other study end is summarized as if it were alone
+        alone = bias_sweep(tiny, [math.inf], replicates=100)
+        for f in fields:
+            assert getattr(result, f)[1] == pytest.approx(getattr(alone, f)[0], rel=1e-13)
 
     def test_validation(self, example3_scenario):
         with pytest.raises(ValueError):

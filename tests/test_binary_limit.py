@@ -2,25 +2,30 @@
 
 The oracle solves the same moment identity with scipy's adaptive QUADPACK
 quadrature and Brent's method, sharing no code with the library's
-fixed-rule Newton kernel or its adaptive fallback.
+fixed-rule Newton kernel or its adaptive fallback.  The general-covariate
+solver is checked against the binary one on the {0, 1} law.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 import hrmix.estimators as estimators
 from hrmix import (
+    CovariateDistribution,
+    HrmixError,
     QuadratureSpec,
     bias_sweep,
     figure2_grid,
     solve_censored_binary,
     solve_cpl_binary,
+    solve_theta_pl_general,
     table1_grid,
 )
 
@@ -49,6 +54,27 @@ def oracle_limit(a, b, p, q, upper=TAIL_CUT, target=1.0):
         return total - target
 
     return brentq(resid, min(a, b), max(a, b), xtol=1e-15, rtol=8.9e-16)
+
+
+def oracle_log_slope(a, b, p, q, c):
+    """-c d/dc of the moment integral at c: the slope in log c."""
+
+    def integrand(u):
+        e1, ea, eb = math.exp(-u), math.exp(-a * u), math.exp(-b * u)
+        num = (1 - q) * e1 + p * q * a * ea + (1 - p) * q * b * eb
+        slow = p * q * ea + (1 - p) * q * eb
+        return num * e1 * slow / ((1 - q) * e1 + c * slow) ** 2
+
+    rate = max(a, b, 1.0)
+    edges = [0.0, *sorted({0.1 / rate, 1 / rate, 10 / rate, 0.1, 1.0, 10.0}), TAIL_CUT]
+    # the slope only scales a tolerance, so QUADPACK's complaints about the
+    # sharpest spikes do not matter
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return c * sum(
+            quad(integrand, lo, hi, epsrel=1e-6, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
 
 
 log_hr = st.floats(-6.0, 6.0)
@@ -95,6 +121,44 @@ class TestAgainstOracle:
     def test_wide_spread_regressions(self, no_fallback, a, b, root):
         assert solve_cpl_binary(a, b, 0.5, 0.5) == pytest.approx(root, rel=1e-10)
         assert oracle_limit(a, b, 0.5, 0.5) == pytest.approx(root, rel=1e-10)
+
+
+def general_agrees_with_binary(la, lb, p, q):
+    """The general solver on the {0, 1} law against the binary solver.
+
+    Each solver locates the log root only to the rounding floor of its
+    residual, up to about 2e-15 of the integrand's unit mass, divided by
+    the slope in log c; where the residual is flat (both log hazard
+    ratios near -6 or +6 and a share near 0.01 or 0.99) that exceeds
+    1e-12, so it widens the tolerance there.
+    """
+    theta = solve_theta_pl_general([la], [lb], p, CovariateDistribution.bernoulli(q))
+    a, b = math.exp(la), math.exp(lb)
+    c = solve_cpl_binary(a, b, p, q)
+    tol = 1e-12 + 1e-14 / oracle_log_slope(a, b, p, q, c)
+    assert abs(theta[0] - math.log(c)) <= tol
+
+
+class TestGeneralAgreesWithBinary:
+    @given(la=log_hr, lb=log_hr, p=share, q=share)
+    @settings(max_examples=60, deadline=None)
+    def test_bernoulli_law(self, la, lb, p, q):
+        general_agrees_with_binary(la, lb, p, q)
+
+    @given(la=st.floats(-10.0, 10.0), lb=st.floats(-10.0, 10.0), p=share, q=share)
+    @settings(max_examples=60, deadline=None)
+    def test_wide_range_agrees_or_raises(self, la, lb, p, q):
+        try:
+            general_agrees_with_binary(la, lb, p, q)
+        except HrmixError:
+            pass
+
+    def test_wide_spread_regression(self):
+        # the finite-difference Jacobian of the adaptive residual was
+        # singular here; the analytic one on the fixed rule is not
+        theta = solve_theta_pl_general([-8.0], [8.0], 0.5, CovariateDistribution.bernoulli(0.5))
+        c = solve_cpl_binary(math.exp(-8.0), math.exp(8.0), 0.5, 0.5)
+        assert theta[0] == pytest.approx(math.log(c), abs=1e-12)
 
 
 class TestBatching:

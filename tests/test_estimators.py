@@ -100,6 +100,22 @@ class TestLinearCombiners:
         eff = linear_hr(aggs, SizeProportional(), z=[1.0, 1.0])
         np.testing.assert_allclose(eff.estimate, np.exp([0.5, -0.2]))
 
+    @pytest.mark.parametrize(
+        "beta, cov",
+        [
+            (math.nan, [[0.01]]),
+            (math.inf, [[0.01]]),
+            (-math.inf, [[0.01]]),
+            (0.1, [[math.nan]]),
+            (0.1, [[math.inf]]),
+            (0.1, [[-0.01]]),
+            ([0.1, 0.2], [[0.01, 0.0], [0.0, -0.02]]),
+        ],
+    )
+    def test_aggregate_rejects_nonfinite_and_negative_variance(self, beta, cov):
+        with pytest.raises(ValueError, match="finite|nonnegative"):
+            TrialAggregate(beta_hat=beta, covariance=cov, size=100)
+
     def test_zero_variance_inverse_weighting_rejected(self):
         aggs = [_agg(0.1, 0.0, 100), _agg(0.2, 0.05, 100)]
         with pytest.raises(SingularVarianceError):
@@ -186,6 +202,12 @@ class TestSolveThetaPlGeneral:
             se = math.sqrt(fit.covariance[j, j])
             assert abs(theta[j] - fit.beta_hat[j]) <= 3 * se
 
+    def test_one_point_law_rejected(self):
+        # a constant covariate identifies no log hazard ratio
+        one = CovariateDistribution(support=[[1.0]], probs=[1.0])
+        with pytest.raises(ValueError, match="two or more points"):
+            solve_theta_pl_general([0.1], [0.2], 0.5, one)
+
     def test_small_hazard_ratios_stay_accurate(self, bernoulli_half):
         # slow-decay regime: the rescaled quadrature must not lose the tail
         theta = solve_theta_pl_general([math.log(0.08)], [math.log(0.5)], 0.5, bernoulli_half)
@@ -249,6 +271,49 @@ class TestThetaMEstimate:
     def test_sensitivity_rows_sum_k2(self):
         j_a, j_b = theta_pl_sensitivity(K2_ALPHA, K2_ALPHA, 0.6, K2_DIST)
         np.testing.assert_allclose(j_a + j_b, np.eye(2), atol=1e-3)
+
+    @pytest.mark.parametrize("effect", [K2_ALPHA, K2_BETA])
+    @pytest.mark.parametrize("p", [0.2, 0.6])
+    def test_sensitivity_rows_sum_k2_to_rounding(self, effect, p):
+        j_a, j_b = theta_pl_sensitivity(effect, effect, p, K2_DIST)
+        np.testing.assert_allclose(j_a + j_b, np.eye(2), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "la, lb, p, q",
+        [
+            (math.log(0.3), math.log(0.8), EXAMPLE3_P, 0.5),
+            (-2.0, 1.5, 0.2, 0.8),
+            (3.0, -1.0, 0.6, 0.1),
+        ],
+    )
+    def test_sensitivity_against_binary_central_difference(self, la, lb, p, q):
+        j_a, j_b = theta_pl_sensitivity([la], [lb], p, CovariateDistribution.bernoulli(q))
+
+        def log_c(x, y):
+            return math.log(solve_cpl_binary(math.exp(x), math.exp(y), p, q))
+
+        h = 1e-5
+        d_a = (log_c(la + h, lb) - log_c(la - h, lb)) / (2 * h)
+        d_b = (log_c(la, lb + h) - log_c(la, lb - h)) / (2 * h)
+        assert j_a[0, 0] == pytest.approx(d_a, abs=1e-7)
+        assert j_b[0, 0] == pytest.approx(d_b, abs=1e-7)
+
+    def test_covariance_matches_finite_differences(self, bernoulli_half):
+        # covariances from the nested finite-difference sensitivities that
+        # the implicit-function ones replace
+        aggs = [_agg(math.log(0.3), 0.01, 400), _agg(math.log(0.8), 0.02, 170)]
+        cov = theta_m_estimate(aggs, bernoulli_half).covariance
+        np.testing.assert_allclose(cov, [[0.005854060108293735]], rtol=1e-6)
+        aggs = [
+            _agg(K2_ALPHA, [[0.02, 0.005], [0.005, 0.03]], 300),
+            _agg(K2_BETA, [[0.04, -0.01], [-0.01, 0.05]], 200),
+        ]
+        cov = theta_m_estimate(aggs, K2_DIST).covariance
+        want = [
+            [0.011431600788658238, 0.0011624681543592023],
+            [0.0011624681543592023, 0.017025907007032572],
+        ]
+        np.testing.assert_allclose(cov, want, rtol=1e-6)
 
     def test_requires_two_trials(self, bernoulli_half):
         with pytest.raises(ValueError):

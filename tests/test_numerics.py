@@ -139,7 +139,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 class TestNewtonNd:
     def test_trivial_shift(self):
-        report = newton_nd(lambda x: x - np.array([1.0, 2.0]), np.zeros(2), tol=1e-12)
+        report = newton_nd(lambda x: (x - np.array([1.0, 2.0]), np.eye(2)), np.zeros(2), tol=1e-12)
         assert report.converged
         np.testing.assert_allclose(report.root, [1.0, 2.0], atol=1e-12)
 
@@ -147,7 +147,10 @@ class TestNewtonNd:
         # score equation of the working model for a binary arm indicator:
         # q e^theta (p/a + (1-p)/b) = q, independent of q
         a, b, p, q = 0.5, 1.0, 0.5, 0.37
-        F = lambda th: np.array([q * math.exp(th[0]) * (p / a + (1 - p) / b) - q])
+        F = lambda th: (
+            np.array([q * math.exp(th[0]) * (p / a + (1 - p) / b) - q]),
+            np.array([[q * math.exp(th[0]) * (p / a + (1 - p) / b)]]),
+        )
         report = newton_nd(F, np.array([0.0]), tol=1e-12)
         assert report.root[0] == pytest.approx(math.log(2.0 / 3.0), abs=1e-10)
         assert report.root[0] == pytest.approx(math.log(c_hm_binary(a, b, p)), abs=1e-10)
@@ -155,7 +158,7 @@ class TestNewtonNd:
     def test_linear_system_two_iterations(self):
         A = np.array([[3.0, 1.0], [1.0, 2.0]])
         rhs = np.array([5.0, 5.0])
-        report = newton_nd(lambda x: A @ x - rhs, np.zeros(2), tol=1e-10)
+        report = newton_nd(lambda x: (A @ x - rhs, A), np.zeros(2), tol=1e-10)
         assert report.converged and report.iterations <= 2
         np.testing.assert_allclose(report.root, np.linalg.solve(A, rhs), atol=1e-9)
 
@@ -170,23 +173,31 @@ class TestNewtonNd:
     def test_linear_systems_property(self, a11, a22, off, r1, r2):
         A = np.array([[a11, off], [off, a22]])
         rhs = np.array([r1, r2])
-        report = newton_nd(lambda x: A @ x - rhs, np.zeros(2), tol=1e-9)
+        report = newton_nd(lambda x: (A @ x - rhs, A), np.zeros(2), tol=1e-9)
         assert report.iterations <= 2
         np.testing.assert_allclose(A @ report.root, rhs, atol=1e-7)
 
     def test_nonlinear_with_damping(self):
-        F = lambda x: np.array([math.atan(x[0]) - 0.2])
+        F = lambda x: (np.array([math.atan(x[0]) - 0.2]), np.array([[1 / (1 + x[0] ** 2)]]))
         report = newton_nd(F, np.array([20.0]), tol=1e-12, max_iter=80)
         assert report.root[0] == pytest.approx(math.tan(0.2), abs=1e-10)
 
     def test_singular_jacobian(self):
-        F = lambda x: np.array([x[0] + x[1], 2 * (x[0] + x[1]) - 1.0])
+        F = lambda x: (
+            np.array([x[0] + x[1], 2 * (x[0] + x[1]) - 1.0]),
+            np.array([[1.0, 1.0], [2.0, 2.0]]),
+        )
         with pytest.raises(SingularJacobianError):
             newton_nd(F, np.zeros(2), tol=1e-10)
 
     def test_non_convergence(self):
         with pytest.raises(NonConvergenceError):
-            newton_nd(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([0.5]), tol=1e-10, max_iter=5)
+            newton_nd(
+                lambda x: (np.array([x[0] ** 2 + 1.0]), np.array([[2 * x[0]]])),
+                np.array([0.5]),
+                tol=1e-10,
+                max_iter=5,
+            )
 
 
 class TestSolveLinear:
