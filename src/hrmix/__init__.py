@@ -12,10 +12,8 @@ trial simulator to study them, and a CLI for the reproduction studies.
 __version__ = "0.1.0"
 
 from .errors import (
-    BadBracketError,
     DegenerateDataError,
     DimensionMismatchError,
-    DomainError,
     HrmixError,
     MissingVarianceError,
     NonConvergenceError,
@@ -25,14 +23,7 @@ from .errors import (
     SingularMatrixError,
     SingularVarianceError,
 )
-from .numerics import (
-    QuadratureSpec,
-    SolveReport,
-    brent_root,
-    integrate_semi_infinite,
-    newton_nd,
-    solve_linear,
-)
+from .numerics import SolveReport, newton_nd, solve_linear
 from .data import (
     AdministrativeCensoring,
     CovariateDistribution,

@@ -23,10 +23,6 @@ from .data import (
     replicate_stream,
     simulate_trial,
 )
-
-# perfbench/tracer.py binds data.censor_administrative through this module,
-# so the name stays importable here although the sweep caps times itself.
-from .data import censor_administrative  # noqa: F401
 from .errors import HrmixError
 from .estimators import (
     c_hm_binary,

@@ -17,7 +17,6 @@ import math
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis, data, estimators
 from .cox import fit_cox
@@ -32,7 +31,7 @@ def _write_manifest(out_path, command: str, config: dict) -> None:
         "config": config,
         "seed": config.get("seed"),
         "package": {"name": "hrmix", "version": __version__},
-        "library_versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "library_versions": {"numpy": np.__version__},
     }
     payload["config_sha256"] = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()

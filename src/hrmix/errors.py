@@ -9,14 +9,6 @@ class NonConvergenceError(HrmixError):
     """An iterative routine exhausted its budget short of tolerance."""
 
 
-class DomainError(HrmixError):
-    """A user-supplied function returned non-finite values."""
-
-
-class BadBracketError(HrmixError):
-    """Root bracket endpoints do not straddle a sign change."""
-
-
 class SingularMatrixError(HrmixError):
     """A linear system is singular or too ill-conditioned to solve."""
 

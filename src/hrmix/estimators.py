@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,7 @@ from .errors import (
     NonConvergenceError,
     SingularVarianceError,
 )
-from .numerics import (
-    _WG,
-    _WK,
-    _XK,
-    QuadratureSpec,
-    brent_root,
-    integrate_semi_infinite,
-    newton_nd,
-    solve_linear,
-)
+from .numerics import _WG, _WK, _XK, newton_nd, solve_linear
 
 __all__ = [
     "TrialAggregate",
@@ -271,47 +262,27 @@ def _validate_binary_args(a, b, p, q):
         raise ValueError("p and q must lie in (0, 1)")
 
 
-def _cpl_binary_integrand(c, a, b, p, q):
-    def f(u):
-        eu = np.exp(-u)
-        ea = np.exp(-a * u)
-        eb = np.exp(-b * u)
-        num = (1 - q) * eu + p * q * a * ea + (1 - p) * q * b * eb
-        den = (1 - q) * eu + p * q * c * ea + (1 - p) * q * c * eb
-        return num / den * eu
-
-    return f
-
-
-def _cpl_binary_adaptive(a, b, p, q, spec, target):
-    """Brent over adaptive quadrature on [0, spec.tail_cut], for one cell.
-
-    The fallback for every cell the fixed rule cannot certify.
-    """
-
-    def resid(c):
-        return integrate_semi_infinite(_cpl_binary_integrand(c, a, b, p, q), spec) - target
-
-    report = brent_root(resid, min(a, b), max(a, b), tol=_ROOT_TOL)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"bracketed solve left residual {report.residual_norm:.3e} above {_ROOT_TOL:.0e}"
-        )
-    return float(report.root[0])
-
-
 # Fixed composite GK15 rule for the pooled limits.  The first panel is
 # [0, _RULE_FIRST / r] with r the fastest rate (max(a, b, 1) for the binary
 # law), on which the fastest exponential falls by at most e^-1; the others
 # grow geometrically, each at most exp(_RULE_LOG_RATIO) times the one
 # before, up to the upper limit, so every exponential and every crossing
-# between two of them is resolved at any spread of hazard ratios.  Binary
-# cells are solved in blocks of _RULE_BLOCK to bound the (cells, panels,
-# 15) temporaries.
+# between two of them is resolved at any spread of hazard ratios.  The
+# integrals stop at _TAIL_CUT, past which the integrands are below
+# e^-_TAIL_CUT times a polynomial factor.  An integral is certified when
+# its summed Kronrod-Gauss error is at most max(_QUAD_ABS_TOL,
+# _QUAD_REL_TOL * |value|), and a binary root when that error over the
+# residual's slope in log c is at most _ROOT_RTOL.  Binary cells are
+# solved in blocks of _RULE_BLOCK to bound the (cells, panels, 15)
+# temporaries.
 _RULE_FIRST = 1.0
 _RULE_LOG_RATIO = 0.3
 _RULE_BLOCK = 32
 _RULE_MAX_ITER = 50
+_TAIL_CUT = 50.0
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-12
+_ROOT_RTOL = 1e-11
 
 
 def _rule_panels(fastest, upper):
@@ -334,28 +305,38 @@ def _rule_nodes(first, upper, n_geo):
     return u, half[..., None] * _WK, half
 
 
-def _rule_certified(y, weight, half, spec):
-    """Kronrod totals of ``y`` and a mask of those whose Kronrod-Gauss error passes ``spec``."""
+def _rule_total(y, weight, half):
+    """Kronrod totals of ``y`` and their summed Kronrod-Gauss error estimates."""
     kron = (weight * y).sum(axis=-1)
     gauss = (y[..., 1::2] * _WG).sum(axis=-1) * half
-    total = kron.sum(axis=-1)
-    err = np.abs(kron - gauss).sum(axis=-1)
-    return total, err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    return kron.sum(axis=-1), np.abs(kron - gauss).sum(axis=-1)
 
 
-def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, spec):
+def _rule_certified(y, weight, half):
+    """Kronrod totals of ``y`` and a mask of those whose error estimate passes."""
+    total, err = _rule_total(y, weight, half)
+    return total, err <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(total))
+
+
+def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, refined=False):
     """Newton in c on the fixed rule for a block of cells of one panel count.
 
-    Every argument but ``n_geo`` and ``spec`` is a 1-d array over cells
+    Every argument but ``n_geo`` and ``refined`` is a 1-d array over cells
     with a != b; ``first`` is the end of each cell's first panel, and
     ``n_geo`` geometric panels follow it.  On any positive-weight rule the
     residual is convex and decreasing in c, so Newton from c = min(a, b),
     clipped to the bracket, climbs monotonically to the root.  Returns the
     roots and a mask of the cells that are certified: Newton converged,
-    the Kronrod-Gauss error estimate meets the ``spec`` test of
-    :func:`integrate_semi_infinite`, and |residual| <= _ROOT_TOL.  Each
-    cell's arithmetic depends only on its own inputs, so a cell's root
-    does not depend on the block it is solved in.
+    |residual| <= _ROOT_TOL, and the Kronrod-Gauss error estimate over the
+    residual's slope in log c, the relative error it puts on the root, is
+    at most _ROOT_RTOL.  Each cell's arithmetic depends only on its own
+    inputs, so a cell's root does not depend on the block it is solved in.
+
+    The integrand is e^-u + ((a-c) e_a + (b-c) e_b) e^-u / den, with e_a
+    and e_b the treated terms of den.  Where the second part is small,
+    its dependence on c drowns in the rounding of the first, so a
+    ``refined`` solve integrates e^-u in closed form and sums only the
+    second part.
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     u, weight, half = _rule_nodes(first, upper, n_geo)
@@ -366,32 +347,45 @@ def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, spec):
     base = (1 - q3) * e1
     slow = ea + eb
     mass = (base + a3 * ea + b3 * eb) * e1
+    rhs = target + np.expm1(-upper) if refined else target
+
+    def integrand(c, den):
+        if not refined:
+            return mass / den
+        c3 = c[:, None, None]
+        return ((a3 - c3) * ea + (b3 - c3) * eb) * e1 / den
+
     c = lo.copy()
     active = np.ones(a.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_RULE_MAX_ITER):
             den = base + c[:, None, None] * slow
             wy = weight * (mass / den)
-            g = wy.sum(axis=(1, 2)) - target
             slope = -(wy * slow / den).sum(axis=(1, 2))
+            if refined:
+                wy = weight * integrand(c, den)
+            g = wy.sum(axis=(1, 2)) - rhs
             step = np.clip(c - g / slope, lo, hi) - c
             # a cell is done once its step is down to rounding of c
             active &= step > 8 * np.finfo(float).eps * c
             if not active.any():
                 break
             c = np.where(active, c + step, c)
-        y = mass / (base + c[:, None, None] * slow)
-        total, within = _rule_certified(y, weight, half, spec)
-        certified = ~active & within & (np.abs(total - target) <= _ROOT_TOL)
+        # den and slope were last taken at the final c of every stopped cell
+        total, err = _rule_total(integrand(c, den), weight, half)
+        certified = ~active & (np.abs(total - rhs) <= _ROOT_TOL)
+        certified &= err <= -_ROOT_RTOL * c * slope
     return c, certified
 
 
-def _pooled_limit_binary(a, b, p, q, upper, target, spec):
-    """Binary pooled limit, broadcast over every argument but ``spec``.
+def _pooled_limit_binary(a, b, p, q, upper, target):
+    """Binary pooled limit, broadcast over every argument.
 
     Solves integral_0^upper (pooled integrand) du = target for c on the
-    fixed rule and sends each cell it cannot certify to the adaptive
-    path.  Returns a float when every argument is scalar.
+    fixed rule.  Each cell it cannot certify is solved once more, refined:
+    on twice the geometric panels, summing only the part of the integrand
+    that moves with c.  A cell that still fails raises NonConvergenceError.
+    Returns a float when every argument is scalar.
     """
     a, b, p, q, upper, target = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (a, b, p, q, upper, target))
@@ -405,16 +399,23 @@ def _pooled_limit_binary(a, b, p, q, upper, target, spec):
         group = np.flatnonzero(n_geo == n)
         for start in range(0, group.size, _RULE_BLOCK):
             block = group[start : start + _RULE_BLOCK]
-            args = [v[block] for v in cols]
-            roots[block], certified = _cpl_binary_rule(*args, first[block], n, spec)
-            for i in block[~certified]:
-                ai, bi, pi, qi, ui, ti = (float(v[i]) for v in cols)
-                roots[i] = _cpl_binary_adaptive(ai, bi, pi, qi, replace(spec, tail_cut=ui), ti)
+            roots[block], certified = _cpl_binary_rule(*(v[block] for v in cols), first[block], n)
+            redo = block[~certified]
+            if redo.size:
+                roots[redo], certified = _cpl_binary_rule(
+                    *(v[redo] for v in cols), first[redo], 2 * n, refined=True
+                )
+                if not certified.all():
+                    cell = [float(v[redo[~certified][0]]) for v in cols[:5]]
+                    raise NonConvergenceError(
+                        "the fixed rule cannot certify the pooled limit at "
+                        f"(a, b, p, q) = {tuple(cell[:4])} on [0, {cell[4]}]"
+                    )
     out.reshape(-1)[cells] = roots
     return float(out) if out.ndim == 0 else out
 
 
-def solve_cpl_binary(a, b, p, q, quad_spec: QuadratureSpec | None = None):
+def solve_cpl_binary(a, b, p, q):
     """Limit of the pooled-data MPLE hazard ratio for a binary arm indicator.
 
     Solves, for c, the moment identity
@@ -422,26 +423,28 @@ def solve_cpl_binary(a, b, p, q, quad_spec: QuadratureSpec | None = None):
         1 = integral_0^inf [(1-q) e^-u + pqa e^-au + (1-p)qb e^-bu]
             / [(1-q) e^-u + pqc e^-au + (1-p)qc e^-bu] * e^-u du,
 
-    truncated at ``quad_spec.tail_cut``.  The right side is strictly
-    decreasing and convex in c, so the solution is unique and lies
-    strictly between a and b.
+    truncated at u = 50.  The right side is strictly decreasing and
+    convex in c, so the solution is unique and lies strictly between a
+    and b.
 
     ``a``, ``b``, ``p`` and ``q`` broadcast against each other: scalars
     give a float, arrays an array of limits, one per cell.  All cells are
     solved together by Newton iteration from c = min(a, b) on a fixed
     composite Gauss-Kronrod rule whose panels grow geometrically from
     u = 0, the first one scaled to 1/max(a, b, 1).  A cell is accepted
-    when its Kronrod-Gauss error estimate meets the ``quad_spec``
-    tolerances, as in :func:`integrate_semi_infinite`, and its residual
-    is at most 1e-9; any other cell falls back to a Brent solve over
-    adaptive quadrature.  A cell with a == b returns a exactly.
+    when its residual is at most 1e-9 and its summed Kronrod-Gauss error
+    estimate, divided by the residual's slope in log c, is at most 1e-11:
+    a bound on the relative error of the root.  Any other cell is solved
+    again on twice the geometric panels, with e^-u, the part of the
+    integrand that does not move with c, integrated in closed form.  A
+    cell that still fails raises NonConvergenceError.  A cell with
+    a == b returns a exactly.
     """
     _validate_binary_args(a, b, p, q)
-    spec = quad_spec or QuadratureSpec()
-    return _pooled_limit_binary(a, b, p, q, spec.tail_cut, 1.0, spec)
+    return _pooled_limit_binary(a, b, p, q, _TAIL_CUT, 1.0)
 
 
-def solve_censored_binary(a, b, p, q, H, quad_spec: QuadratureSpec | None = None):
+def solve_censored_binary(a, b, p, q, H):
     """Pooled-MPLE limit under administrative censoring, binary covariate.
 
     ``H`` is the baseline cumulative hazard at the study end, so the
@@ -449,21 +452,20 @@ def solve_censored_binary(a, b, p, q, H, quad_spec: QuadratureSpec | None = None
 
         1 - e^-H = integral_0^H (same integrand as the uncensored case) du,
 
-    with H capped at ``quad_spec.tail_cut``.  The solution exceeds the
-    uncensored limit for every finite H and decays to it as H grows:
-    censoring always biases the pooled fit toward the null.
+    with H capped at 50.  The solution exceeds the uncensored limit for
+    every finite H and decays to it as H grows: censoring always biases
+    the pooled fit toward the null.
 
     ``a``, ``b``, ``p``, ``q`` and ``H`` broadcast against each other and
     are solved as in :func:`solve_cpl_binary`: Newton on the same fixed
-    rule over [0, min(H, tail_cut)], certified by the same test, with
-    the adaptive Brent solve as the fallback.
+    rule over [0, min(H, 50)], certified by the same test, with one
+    refinement before NonConvergenceError.
     """
     _validate_binary_args(a, b, p, q)
     if not np.all(np.asarray(H) > 0):
         raise ValueError("H must be positive")
-    spec = quad_spec or QuadratureSpec()
-    upper = np.minimum(H, spec.tail_cut)
-    return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper), spec)
+    upper = np.minimum(H, _TAIL_CUT)
+    return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper))
 
 
 def _limit_args(alpha, beta, p, dist):
@@ -487,7 +489,7 @@ def _pl_equation(alpha, beta, p, dist):
     The partial likelihood ignores a shift of Z, so Z is measured from
     the last support point; the integrand then decays like the slowest
     rate of the other points, and the last panel ends where that rate
-    has decayed by e^-tail_cut.  For the {0, 1} law the residual is
+    has decayed by e^-_TAIL_CUT.  For the {0, 1} law the residual is
     -(1-q) times the binary one on the same panels.
 
     Returns ``equation(theta, inputs=False)``: R(theta), dR/dtheta and
@@ -498,8 +500,7 @@ def _pl_equation(alpha, beta, p, dist):
         raise ValueError("the pooled limit needs a covariate law with two or more points")
     z, pi = dist.support, dist.probs
     ra, rb = np.exp(z @ alpha), np.exp(z @ beta)
-    spec = QuadratureSpec()
-    upper = np.array(spec.tail_cut / np.minimum(ra[:-1], rb[:-1]).min())
+    upper = np.array(_TAIL_CUT / np.minimum(ra[:-1], rb[:-1]).min())
     first, n_geo = _rule_panels(max(ra.max(), rb.max()), upper)
     u, weight, half = _rule_nodes(first, upper, int(n_geo))
     u, flat = u.reshape(-1, 1), weight.ravel()
@@ -516,7 +517,7 @@ def _pl_equation(alpha, beta, p, dist):
             s0 = w.sum(axis=1)
             xbar = (w @ zs) / s0[:, None]
             y = (xbar * mass[:, None]).T.reshape((-1,) + weight.shape)
-            total, within = _rule_certified(y, weight, half, spec)
+            total, within = _rule_certified(y, weight, half)
             # dR/dtheta: the risk-set covariance of Z against the event density
             wm = flat * mass
             g = wm / s0
@@ -559,8 +560,9 @@ def solve_theta_pl_general(alpha, beta, p: float, dist: CovariateDistribution) -
     Z are finite sums against ``dist``, on the fixed composite rule of
     :func:`solve_cpl_binary` by Newton with the analytic Jacobian from
     p*alpha + (1-p)*beta; alpha == beta returns alpha exactly.  Uniqueness
-    for k > 1 is not asserted.  A root whose Kronrod-Gauss error estimate
-    misses the default quadrature tolerances raises NonConvergenceError.
+    for k > 1 is not asserted.  A root at which the Kronrod-Gauss error
+    estimate of the integral exceeds max(1e-12, 1e-10 * |integral|) raises
+    NonConvergenceError.
     """
     return _pl_root(alpha, beta, p, dist)[0]
 

@@ -1,61 +1,23 @@
 """Shared numerical kernels.
 
-Adaptive quadrature over (0, inf) for exponentially decaying integrands,
-the nodes and weights of the Gauss-Kronrod 7-15 rule it is built on,
-bracketed scalar root finding, a damped multivariate Newton iteration on
-caller-supplied Jacobians, and small dense linear solves.  Every routine
+The nodes and weights of the Gauss-Kronrod 7-15 rule that the pooled
+limits' fixed composite quadrature is built on, a damped multivariate
+Newton iteration on caller-supplied Jacobians, and small dense linear
+solves.  Every routine
 is a pure function of its inputs and keeps no module state, so results
 never depend on call order.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BadBracketError,
-    DomainError,
-    NonConvergenceError,
-    SingularJacobianError,
-    SingularMatrixError,
-)
+from .errors import NonConvergenceError, SingularJacobianError, SingularMatrixError
 
-__all__ = [
-    "QuadratureSpec",
-    "SolveReport",
-    "integrate_semi_infinite",
-    "brent_root",
-    "newton_nd",
-    "solve_linear",
-]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for the semi-infinite quadrature.
-
-    ``tail_cut`` is the point beyond which the integrand is treated as
-    exactly zero.  Integrands passed to :func:`integrate_semi_infinite`
-    are expected to decay at least like ``exp(-u)``, which bounds the
-    neglected tail by ``exp(-tail_cut)`` times a polynomial factor.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    tail_cut: float = 50.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("rel_tol and abs_tol must be positive")
-        if self.tail_cut <= 0:
-            raise ValueError("tail_cut must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+__all__ = ["SolveReport", "newton_nd", "solve_linear"]
 
 
 @dataclass(frozen=True)
@@ -123,108 +85,6 @@ _WG = np.array(
         0.129484966168870,
     ]
 )
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def _eval_panel(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """Return (Kronrod value, error estimate) of f on [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid + half * _XK
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        # scalar-only integrand; evaluate point by point
-        y = np.array([float(f(v)) for v in x])
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise DomainError(f"integrand returned a non-finite value near u={bad!r}")
-    kron = half * float(_WK @ y)
-    gauss = half * float(_WG @ y[1::2])
-    return kron, abs(kron - gauss)
-
-
-def integrate_semi_infinite(f: Callable, spec: QuadratureSpec | None = None) -> float:
-    """Integrate ``f`` over (0, inf) by adaptive Gauss-Kronrod quadrature.
-
-    The integrand must be finite and continuous on (0, tail_cut] and decay
-    at least exponentially; the integral is truncated at ``spec.tail_cut``.
-    ``f`` is called with a numpy array of nodes and should evaluate
-    elementwise (a scalar-only callable also works, at some speed cost).
-
-    Raises
-    ------
-    NonConvergenceError
-        if the subdivision budget is exhausted before the error estimate
-        drops below ``max(abs_tol, rel_tol * |integral|)``.
-    DomainError
-        if ``f`` returns NaN or infinity.
-    """
-    spec = spec or DEFAULT_QUADRATURE
-    val, err = _eval_panel(f, 0.0, spec.tail_cut)
-    # heap of (-error, tiebreak, lo, hi, value, error)
-    counter = 0
-    heap = [(-err, counter, 0.0, spec.tail_cut, val, err)]
-    total, total_err = val, err
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
-        neg, _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _eval_panel(f, lo, mid)
-        v2, e2 = _eval_panel(f, mid, hi)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        return total
-    raise NonConvergenceError(
-        f"quadrature error {total_err:.3e} above tolerance after "
-        f"{spec.max_subdivisions} subdivisions"
-    )
-
-
-def brent_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -> SolveReport:
-    """Find a root of ``g`` on the bracket [lo, hi] by Brent's method.
-
-    Requires a sign change: ``g(lo) * g(hi) <= 0``.  On success the
-    returned report satisfies ``|g(root)| <= tol`` and ``root`` lies in
-    the bracket.  ``tol`` is a residual tolerance; the abscissa itself is
-    located to near machine precision, so ``converged`` only comes back
-    False when ``g`` is too steep or too noisy for the residual check.
-    """
-    if not lo < hi:
-        raise BadBracketError(f"empty bracket [{lo}, {hi}]")
-    glo = float(g(lo))
-    ghi = float(g(hi))
-    if not (np.isfinite(glo) and np.isfinite(ghi)):
-        raise DomainError("bracket endpoint evaluated to a non-finite value")
-    if glo == 0.0:
-        return SolveReport(np.array([lo]), 0.0, 0, True)
-    if ghi == 0.0:
-        return SolveReport(np.array([hi]), 0.0, 0, True)
-    if glo * ghi > 0:
-        raise BadBracketError(
-            f"g has the same sign at both endpoints: g({lo})={glo:.3e}, g({hi})={ghi:.3e}"
-        )
-    # deferred: importing scipy.optimize costs more than most solves
-    from scipy.optimize import brentq
-
-    x, info = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200, full_output=True)
-    resid = abs(float(g(x)))
-    return SolveReport(
-        root=np.array([x]),
-        residual_norm=resid,
-        iterations=info.iterations,
-        converged=bool(info.converged) and resid <= tol,
-    )
-
 
 def newton_nd(
     F: Callable,

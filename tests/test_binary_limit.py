@@ -2,8 +2,8 @@
 
 The oracle solves the same moment identity with scipy's adaptive QUADPACK
 quadrature and Brent's method, sharing no code with the library's
-fixed-rule Newton kernel or its adaptive fallback.  The general-covariate
-solver is checked against the binary one on the {0, 1} law.
+fixed-rule Newton kernel.  The general-covariate solver is checked
+against the binary one on the {0, 1} law.
 """
 
 import math
@@ -20,7 +20,7 @@ import hrmix.estimators as estimators
 from hrmix import (
     CovariateDistribution,
     HrmixError,
-    QuadratureSpec,
+    NonConvergenceError,
     bias_sweep,
     figure2_grid,
     solve_censored_binary,
@@ -34,26 +34,41 @@ TAIL_CUT = 50.0
 
 
 def oracle_limit(a, b, p, q, upper=TAIL_CUT, target=1.0):
-    """Root in c of integral_0^upper (pooled-limit integrand) du = target."""
+    """Root in c of integral_0^upper (pooled-limit integrand) du = target.
 
-    def integrand(u, c):
-        e1, ea, eb = math.exp(-u), math.exp(-a * u), math.exp(-b * u)
-        num = (1 - q) * e1 + p * q * a * ea + (1 - p) * q * b * eb
-        den = (1 - q) * e1 + p * q * c * ea + (1 - p) * q * c * eb
-        return num / den * e1
+    The integrand is e^-u + [pq(a-c) e^-au + (1-p)q(b-c) e^-bu] e^-u / den,
+    and e^-u integrates to 1 - e^-upper in closed form, so the residual is
+    (a-c) I_a(c) + (b-c) I_b(c) + 1 - e^-upper - target with positive
+    integrals I_a and I_b.  QUADPACK meets its relative tolerance on the
+    terms that carry all of the dependence on c, so the root keeps its
+    accuracy where the moment integral itself is nearly flat in c (q near
+    0, both hazard ratios small, or a short study).
+    """
 
-    # split where the fastest exponential and the unit one turn over
-    rate = max(a, b, 1.0)
-    cuts = [x for x in (0.1 / rate, 1 / rate, 10 / rate, 0.1, 1.0, 10.0) if x < upper]
+    def integrand(u, c, rate, share):
+        e1 = math.exp(-u)
+        den = (1 - q) * e1 + c * q * (p * math.exp(-a * u) + (1 - p) * math.exp(-b * u))
+        return share * q * math.exp(-rate * u) * e1 / den
+
+    # split where each exponential turns over and where its treated term
+    # can cross the unit one in den
+    cuts = [k / r for r in (a, b, 1.0) for k in (0.1, 1.0, 10.0, 100.0) if k / r < upper]
     edges = [0.0, *sorted(set(cuts)), upper]
 
-    def resid(c):
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += quad(integrand, lo, hi, args=(c,), epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        return total - target
+    # I_a and I_b exceed 1e-15 on the tested domain; epsabs only spares
+    # QUADPACK the panels where e^-au has underflowed to subnormals
+    def integral(c, rate, share):
+        return sum(
+            quad(integrand, lo, hi, args=(c, rate, share), epsabs=1e-30, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
 
-    return brentq(resid, min(a, b), max(a, b), xtol=1e-15, rtol=8.9e-16)
+    offset = -math.expm1(-upper) - target
+
+    def resid(c):
+        return (a - c) * integral(c, a, p) + (b - c) * integral(c, b, 1 - p) + offset
+
+    return brentq(resid, min(a, b), max(a, b), xtol=1e-300, rtol=8.9e-16)
 
 
 def oracle_log_slope(a, b, p, q, c):
@@ -83,12 +98,15 @@ share = st.floats(0.01, 0.99)
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    """Make the adaptive fallback fail loudly, past any HrmixError handler."""
+    """Make the refinement pass fail loudly, past any HrmixError handler."""
+    rule = estimators._cpl_binary_rule
 
-    def forbidden(*args):
-        raise AssertionError(f"adaptive fallback taken for {args[:4]}")
+    def base_rule_only(*args, refined=False):
+        if refined:
+            raise AssertionError(f"refinement taken for {[v.tolist() for v in args[:4]]}")
+        return rule(*args)
 
-    monkeypatch.setattr(estimators, "_cpl_binary_adaptive", forbidden)
+    monkeypatch.setattr(estimators, "_cpl_binary_rule", base_rule_only)
 
 
 class TestAgainstOracle:
@@ -121,6 +139,46 @@ class TestAgainstOracle:
     def test_wide_spread_regressions(self, no_fallback, a, b, root):
         assert solve_cpl_binary(a, b, 0.5, 0.5) == pytest.approx(root, rel=1e-10)
         assert oracle_limit(a, b, 0.5, 0.5) == pytest.approx(root, rel=1e-10)
+
+    @given(
+        la=st.floats(-10.0, 10.0),
+        lb=st.floats(-10.0, 10.0),
+        p=st.floats(0.001, 0.999),
+        q=st.floats(0.001, 0.999),
+        H=st.one_of(st.none(), st.floats(1e-3, 100.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wide_domain_agrees_or_raises(self, la, lb, p, q, H):
+        assume(abs(la - lb) > 1e-6)
+        a, b = math.exp(la), math.exp(lb)
+        try:
+            if H is None:
+                got = solve_cpl_binary(a, b, p, q)
+            else:
+                got = solve_censored_binary(a, b, p, q, H)
+        except NonConvergenceError:
+            return
+        upper = TAIL_CUT if H is None else min(H, TAIL_CUT)
+        target = 1.0 if H is None else -math.expm1(-upper)
+        assert got == pytest.approx(oracle_limit(a, b, p, q, upper, target), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "a, b, p, q, H, root",
+        [
+            # Brent over adaptive quadrature raised BadBracketError here: it
+            # gave g(b) = -3.6e-17 where QUADPACK gives +5.2e-5
+            (1201762.9744472234, 12161.319923760842, 0.47092346764884563,
+             0.9981814499576961, 0.011880477944362124, 12673.6970338989),
+            # the moment integral is flat in c (slope 6.8e-9 in log c), and a
+            # root certified by the integral's error alone was off by 5.5e-8
+            (0.006164460507375726, 4.5399929762484854e-05, 0.001, 0.001,
+             0.012805916223548748, 5.15187508407777e-05),
+        ],
+        ids=["bad-bracket", "flat-residual"],
+    )
+    def test_refined_regressions(self, a, b, p, q, H, root):
+        assert solve_censored_binary(a, b, p, q, H) == pytest.approx(root, rel=1e-10)
+        assert oracle_limit(a, b, p, q, H, -math.expm1(-H)) == pytest.approx(root, rel=1e-10)
 
 
 def general_agrees_with_binary(la, lb, p, q):
@@ -219,20 +277,38 @@ class TestCensoredMonotone:
 
 
 class TestFallback:
+    """The refinement pass, the one fallback for a cell the rule cannot certify."""
+
     def test_uncertified_cell_takes_fallback(self, monkeypatch):
-        # no fixed rule meets a tolerance below its own rounding floor
+        # the root-error estimate at (0.5, 1, 0.5, 0.5) is 7.7e-15 on the
+        # base rule and 2.4e-16 refined; a tolerance between them forces
+        # the refinement and lets it certify
+        rule = estimators._cpl_binary_rule
         seen = []
-        monkeypatch.setattr(
-            estimators, "_cpl_binary_adaptive", lambda *args: seen.append(args) or -1.0
-        )
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18)
-        c = solve_cpl_binary([0.5, 0.7], [1.0, 0.7], 0.5, 0.5, quad_spec=spec)
-        assert c.tolist() == [-1.0, 0.7]
-        assert [args[:4] for args in seen] == [(0.5, 1.0, 0.5, 0.5)]
+
+        def spy(*args, refined=False):
+            c, certified = rule(*args, refined=refined)
+            seen.append((refined, args[0].tolist(), certified.tolist()))
+            return c, certified
+
+        monkeypatch.setattr(estimators, "_cpl_binary_rule", spy)
+        monkeypatch.setattr(estimators, "_ROOT_RTOL", 1e-15)
+        c = solve_cpl_binary([0.5, 0.7], [1.0, 0.7], 0.5, 0.5)
+        assert seen == [(False, [0.5], [False]), (True, [0.5], [True])]
+        assert c[1] == 0.7
+        assert c[0] == pytest.approx(oracle_limit(0.5, 1.0, 0.5, 0.5), rel=1e-13)
+
+    def test_uncertified_after_refinement_raises(self, monkeypatch):
+        # no rule meets a tolerance below its own rounding floor
+        monkeypatch.setattr(estimators, "_ROOT_RTOL", 1e-300)
+        with pytest.raises(NonConvergenceError):
+            solve_cpl_binary([0.5, 0.7], [1.0, 0.7], 0.5, 0.5)
+        with pytest.raises(NonConvergenceError):
+            solve_censored_binary(0.3, 0.8, 0.7, 0.5, 2.0)
 
 
 class TestNoFallback:
-    """The paper's workloads are all certified by the fixed rule."""
+    """The paper's workloads are all certified by the base rule, unrefined."""
 
     def test_figure2_grid(self, no_fallback):
         grid = figure2_grid()

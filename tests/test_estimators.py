@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from hrmix import (
     AdministrativeCensoring,
@@ -19,7 +20,6 @@ from hrmix import (
     TrialAggregate,
     c_hm_binary,
     fit_cox,
-    integrate_semi_infinite,
     kl_objective,
     linear_hr,
     linear_log_hr,
@@ -158,10 +158,10 @@ class TestSolveCplBinary:
         a, b, p, q = 0.4, 1.3, 0.6, 0.5
 
         def integral(c):
-            f = lambda u: ((1 - q) * np.exp(-u) + p * q * a * np.exp(-a * u) + (1 - p) * q * b * np.exp(-b * u)) / (
-                (1 - q) * np.exp(-u) + p * q * c * np.exp(-a * u) + (1 - p) * q * c * np.exp(-b * u)
-            ) * np.exp(-u)
-            return integrate_semi_infinite(f)
+            f = lambda u: ((1 - q) * math.exp(-u) + p * q * a * math.exp(-a * u) + (1 - p) * q * b * math.exp(-b * u)) / (
+                (1 - q) * math.exp(-u) + p * q * c * math.exp(-a * u) + (1 - p) * q * c * math.exp(-b * u)
+            ) * math.exp(-u)
+            return quad(f, 0.0, 50.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
         values = [integral(c) for c in np.linspace(a + 1e-3, b - 1e-3, 10)]
         assert all(x > y for x, y in zip(values, values[1:]))

@@ -11,121 +11,18 @@ from hypothesis import strategies as st
 
 import hrmix
 from hrmix import (
-    BadBracketError,
-    DomainError,
     NonConvergenceError,
-    QuadratureSpec,
     SingularJacobianError,
     SingularMatrixError,
-    brent_root,
     c_hm_binary,
-    integrate_semi_infinite,
     newton_nd,
     solve_linear,
 )
 
 
-class TestIntegrateSemiInfinite:
-    def test_unit_exponential(self):
-        assert integrate_semi_infinite(lambda u: np.exp(-u)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_exponential_mean(self):
-        assert integrate_semi_infinite(lambda u: u * np.exp(-u)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_mixture_mean(self):
-        # mean of a two-component exponential mixture: 0.5/0.5 + 0.5/2
-        f = lambda u: u * (0.5 * 0.5 * np.exp(-0.5 * u) + 0.5 * 2.0 * np.exp(-2.0 * u))
-        assert integrate_semi_infinite(f) == pytest.approx(1.25, rel=1e-9)
-
-    def test_scalar_only_integrand(self):
-        # math.exp cannot take an array, forcing the pointwise fallback
-        assert integrate_semi_infinite(lambda u: math.exp(-u)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_non_finite_integrand_raises(self):
-        with pytest.raises(DomainError):
-            integrate_semi_infinite(lambda u: np.where(u > 1, np.nan, np.exp(-u)))
-
-    def test_budget_exhaustion_raises(self):
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
-        with pytest.raises(NonConvergenceError):
-            integrate_semi_infinite(lambda u: np.exp(-u) * np.sin(40 * u) ** 2, spec)
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tail_cut=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
-    @pytest.mark.parametrize(
-        "f",
-        [
-            # the pooled-limit and censored-limit integrands and the
-            # score-equation mass all decay at least like exp(-u)
-            lambda u: ((0.5 * np.exp(-u) + 0.105 * np.exp(-0.3 * u) + 0.12 * np.exp(-0.8 * u))
-                       / (0.5 * np.exp(-u) + 0.14 * np.exp(-0.3 * u) + 0.06 * np.exp(-0.8 * u))) * np.exp(-u),
-            lambda u: u * np.exp(-u) * (0.7 + 0.3 * np.exp(-0.5 * u)),
-            lambda u: np.exp(-u) / (1.0 + u),
-        ],
-    )
-    def test_tail_cut_doubling_invariance(self, f):
-        base = integrate_semi_infinite(f, QuadratureSpec())
-        doubled = integrate_semi_infinite(f, QuadratureSpec(tail_cut=100.0))
-        assert doubled == pytest.approx(base, rel=1e-9)
-
-    @given(rate=st.floats(1.0, 8.0), scale=st.floats(0.1, 5.0))
-    @settings(max_examples=25, deadline=None)
-    def test_scaled_exponentials(self, rate, scale):
-        val = integrate_semi_infinite(lambda u: scale * np.exp(-rate * u))
-        assert val == pytest.approx(scale / rate, rel=1e-9)
-
-
-class TestBrentRoot:
-    def test_linear(self):
-        report = brent_root(lambda c: c - 0.7, 0.0, 2.0, tol=1e-12)
-        assert report.converged
-        assert report.root[0] == pytest.approx(0.7, abs=1e-12)
-
-    def test_sqrt2(self):
-        report = brent_root(lambda c: c * c - 2.0, 1.0, 2.0, tol=1e-12)
-        assert report.root[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_pooled_limit_residual(self):
-        # residual of the pooled-limit moment identity at a=0.5, b=1, p=q=0.5;
-        # the root is the table value 0.682 (printed with ~0.01 noise)
-        a, b, p, q = 0.5, 1.0, 0.5, 0.5
-
-        def resid(c):
-            f = lambda u: ((1 - q) * np.exp(-u) + p * q * a * np.exp(-a * u) + (1 - p) * q * b * np.exp(-b * u)) / (
-                (1 - q) * np.exp(-u) + p * q * c * np.exp(-a * u) + (1 - p) * q * c * np.exp(-b * u)
-            ) * np.exp(-u)
-            return integrate_semi_infinite(f) - 1.0
-
-        report = brent_root(resid, a, b, tol=1e-9)
-        assert report.converged
-        assert report.root[0] == pytest.approx(0.682, abs=0.015)
-
-    def test_bad_bracket(self):
-        with pytest.raises(BadBracketError):
-            brent_root(lambda c: c * c + 1.0, -1.0, 1.0, tol=1e-12)
-
-    def test_root_at_endpoint(self):
-        report = brent_root(lambda c: c - 1.0, 1.0, 2.0, tol=1e-12)
-        assert report.root[0] == 1.0 and report.converged
-
-    @given(widen=st.floats(0.0, 5.0))
-    @settings(max_examples=25, deadline=None)
-    def test_bracket_widening_invariance(self, widen):
-        g = lambda c: math.expm1(c - 0.75)
-        base = brent_root(g, 0.0, 2.0, tol=1e-12).root[0]
-        wide = brent_root(g, -widen, 2.0 + widen, tol=1e-12).root[0]
-        assert wide == pytest.approx(base, abs=1e-12)
-
-
 def test_import_leaves_scipy_optimize_unloaded():
-    # brent_root imports scipy.optimize on first use; the package and CLI must not
-    code = "import sys, hrmix, hrmix.cli; print('scipy.optimize' in sys.modules)"
+    # scipy is a test dependency only: the package and CLI must load none of it
+    code = "import sys, hrmix, hrmix.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     src = str(Path(hrmix.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -134,7 +31,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestNewtonNd:
