@@ -10,6 +10,7 @@ scheduled.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -455,14 +456,93 @@ def write_patient_csv(datasets: Sequence[TrialDataset], path) -> None:
                 writer.writerow([tid, repr(float(t)), int(e)] + [repr(float(v)) for v in z])
 
 
+# Records converted and checked together.  Python row lists cost far more
+# memory than the finished columns, so only one block of them is held at a time.
+_BLOCK_ROWS = 4096
+
+
+def _raise_bad_record(block: list, lineno: int, k: int) -> None:
+    """Raise the ``ParseError`` of the first bad record in ``block``.
+
+    ``lineno`` is the CSV record number of ``block[0]``.  The checks are
+    those of :func:`_block_columns`, made one record at a time, so that the
+    error names the record a row-by-row read would have stopped at.
+    """
+    for lineno, row in enumerate(block, start=lineno):
+        if not row:
+            continue
+        if len(row) != 3 + k:
+            raise ParseError(f"expected {3 + k} fields, got {len(row)}", line=lineno)
+        try:
+            t = float(row[1])
+            e = int(row[2])
+            z = [float(v) for v in row[3:]]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if not np.isfinite(t) or t < 0:
+            raise ParseError(f"time must be finite and nonnegative, got {row[1]}", line=lineno)
+        if e not in (0, 1):
+            raise ParseError(f"event must be 0 or 1, got {row[2]}", line=lineno)
+        if not all(np.isfinite(z)):
+            raise ParseError("covariates must be finite", line=lineno)
+
+
+def _block_columns(block: list, lineno: int, k: int):
+    """Convert and check one block of records as whole columns.
+
+    Returns (trial ids, times, events, covariates) for the block's nonblank
+    records.  A block that fails a check is read again record by record to
+    raise the first bad record's error.
+    """
+    rows = block if all(block) else [row for row in block if row]
+    n = len(rows)
+    if n == 0:
+        return (), np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, k))
+    if set(map(len, rows)) == {3 + k}:
+        ids, t_col, e_col, *z_cols = zip(*rows)
+        try:
+            times = np.fromiter(map(float, t_col), float, count=n)
+            # an event too large for int64 overflows here and is reported
+            # by the record check as "event must be 0 or 1"
+            events = np.fromiter(map(int, e_col), np.int64, count=n)
+            cov = np.empty((n, k))
+            for j, col in enumerate(z_cols):
+                cov[:, j] = np.fromiter(map(float, col), float, count=n)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if (
+                np.isfinite(times).all()
+                and (times >= 0).all()
+                and ((events == 0) | (events == 1)).all()
+                and np.isfinite(cov).all()
+            ):
+                return ids, times, events, cov
+    _raise_bad_record(block, lineno, k)
+    raise AssertionError("a block failed a check that none of its records fails")
+
+
 def read_patient_csv(path) -> list[TrialDataset]:
     """Read a patient-line CSV back into one dataset per trial id.
 
-    Trials come back in order of first appearance; each dataset's label is
-    its trial id, so write/read round-trips on files produced by
-    :func:`write_patient_csv`.
+    The file is UTF-8, with or without a byte-order mark, and its header is
+    ``trial_id,time,event,z1,...,zk``.  Its rules:
+
+    - blank records are skipped;
+    - trial ids follow RFC-4180 quoting, so they may hold commas, quotes
+      and line breaks;
+    - trials come back in order of first appearance, each with its records
+      in file order, and each dataset's label is its trial id, so
+      write/read round-trips on files produced by :func:`write_patient_csv`;
+    - ``time`` and the covariates are parsed as Python ``float`` parses
+      them, and ``event`` as ``int`` does;
+    - a bad value raises ``ParseError`` whose ``line`` is the CSV record
+      number: the header is record 1, blank records count, and a quoted
+      line break does not start a new record.
+
+    Records are converted and checked a block at a time, column by column.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -477,43 +557,40 @@ def read_patient_csv(path) -> list[TrialDataset]:
             raise SchemaError(
                 f"header must be trial_id,time,event,z1,...,zk; got {','.join(header)}"
             )
-        groups: dict[str, list] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + k:
-                raise ParseError(f"expected {3 + k} fields, got {len(row)}", line=lineno)
-            tid = row[0]
+        codes: dict[str, int] = {}
+        parts = []
+        lineno = 2
+        while True:
+            block: list = []
             try:
-                t = float(row[1])
-                e = int(row[2])
-                z = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if not np.isfinite(t) or t < 0:
-                raise ParseError(f"time must be finite and nonnegative, got {row[1]}", line=lineno)
-            if e not in (0, 1):
-                raise ParseError(f"event must be 0 or 1, got {row[2]}", line=lineno)
-            if not all(np.isfinite(z)):
-                raise ParseError("covariates must be finite", line=lineno)
-            if tid not in groups:
-                groups[tid] = []
-                order.append(tid)
-            groups[tid].append((t, e, z))
-    out = []
-    for tid in order:
-        rows = groups[tid]
-        out.append(
-            TrialDataset(
-                times=np.array([r[0] for r in rows]),
-                events=np.array([r[1] for r in rows]),
-                covariates=np.array([r[2] for r in rows], dtype=float).reshape(len(rows), k),
-                trial_ids=np.full(len(rows), tid, dtype=object),
-                label=tid,
-            )
+                block.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except csv.Error:
+                # a bad record read before the csv error is reported first
+                _block_columns(block, lineno, k)
+                raise
+            if not block:
+                break
+            ids, times, events, cov = _block_columns(block, lineno, k)
+            for tid in dict.fromkeys(ids):
+                codes.setdefault(tid, len(codes))
+            code = np.fromiter(map(codes.__getitem__, ids), np.intp, count=len(ids))
+            parts.append((code, times, events, cov))
+            lineno += len(block)
+    if not codes:
+        return []
+    code, times, events, cov = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(code, kind="stable")
+    bounds = np.cumsum(np.bincount(code))[:-1]
+    return [
+        TrialDataset(
+            times=times[idx],
+            events=events[idx],
+            covariates=cov[idx],
+            trial_ids=np.full(idx.size, tid, dtype=object),
+            label=tid,
         )
-    return out
+        for tid, idx in zip(codes, np.split(order, bounds))
+    ]
 
 
 # ---------------------------------------------------------------------------

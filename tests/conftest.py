@@ -7,12 +7,21 @@ vectorized implementations are checked against something that cannot
 share their bugs.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from hrmix import CovariateDistribution, DegenerateDataError, NonConvergenceError, ScenarioSpec
+from hrmix import (
+    CovariateDistribution,
+    DegenerateDataError,
+    NonConvergenceError,
+    ParseError,
+    ScenarioSpec,
+    SchemaError,
+    TrialDataset,
+)
 
 
 def naive_log_partial_likelihood(times, events, z, beta):
@@ -134,6 +143,67 @@ def reference_fit_cox(times, events, z, tol=1e-10, max_iter=100):
     if not np.linalg.eigvalsh(0.5 * (info + info.T)).min() > 1e-8 * n_events:
         raise DegenerateDataError("observed information collapsed")
     return beta
+
+
+def reference_read_patient_csv(path) -> list[TrialDataset]:
+    """Row-by-row patient-line reader, the loop the block-wise reader replaced.
+
+    Converts and checks one record at a time with Python ``float``/``int``
+    and groups records per trial id in order of first appearance.  It opens
+    the file as plain UTF-8, so a byte-order mark is not stripped.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty file", missing=["trial_id", "time", "event"]) from None
+        expected = ["trial_id", "time", "event"]
+        missing = [c for c in expected if c not in header]
+        if missing:
+            raise SchemaError("bad patient-line header", missing=missing)
+        k = len(header) - 3
+        if header[:3] != expected or header[3:] != [f"z{j + 1}" for j in range(k)]:
+            raise SchemaError(
+                f"header must be trial_id,time,event,z1,...,zk; got {','.join(header)}"
+            )
+        groups: dict[str, list] = {}
+        order: list[str] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3 + k:
+                raise ParseError(f"expected {3 + k} fields, got {len(row)}", line=lineno)
+            tid = row[0]
+            try:
+                t = float(row[1])
+                e = int(row[2])
+                z = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if not np.isfinite(t) or t < 0:
+                raise ParseError(f"time must be finite and nonnegative, got {row[1]}", line=lineno)
+            if e not in (0, 1):
+                raise ParseError(f"event must be 0 or 1, got {row[2]}", line=lineno)
+            if not all(np.isfinite(z)):
+                raise ParseError("covariates must be finite", line=lineno)
+            if tid not in groups:
+                groups[tid] = []
+                order.append(tid)
+            groups[tid].append((t, e, z))
+    out = []
+    for tid in order:
+        rows = groups[tid]
+        out.append(
+            TrialDataset(
+                times=np.array([r[0] for r in rows]),
+                events=np.array([r[1] for r in rows]),
+                covariates=np.array([r[2] for r in rows], dtype=float).reshape(len(rows), k),
+                trial_ids=np.full(len(rows), tid, dtype=object),
+                label=tid,
+            )
+        )
+    return out
 
 
 EXAMPLE3_EFFECTS = (math.log(0.3), math.log(0.8))

@@ -2,11 +2,16 @@ import csv
 import json
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hrmix import NonConvergenceError, scenario_to_json
-from hrmix.cli import main
+from hrmix import NonConvergenceError, TrialDataset, scenario_to_json
+from hrmix.cli import _empirical_dist, main
 from hrmix.data import scenario_with
 
 
@@ -106,6 +111,63 @@ class TestEstimate:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["estimate", "--aggregates", "/nonexistent.json"]) == 2
+
+
+def _law_of(z):
+    n = z.shape[0]
+    return _empirical_dist(
+        TrialDataset(
+            times=np.ones(n), events=np.ones(n), covariates=z, trial_ids=np.full(n, "t", dtype=object)
+        )
+    )
+
+
+def _assert_same_law(law, z):
+    """The empirical law must equal np.unique's, bit for bit."""
+    rows, counts = np.unique(z, axis=0, return_counts=True)
+    assert law.support.tobytes() == np.ascontiguousarray(rows).tobytes()
+    assert law.probs.tobytes() == (counts / counts.sum()).tobytes()
+
+
+# up to 400 rows of k = 1..3 columns with many ties, signed zeros among them
+_covariate_matrices = st.integers(1, 3).flatmap(
+    lambda k: arrays(
+        float,
+        st.tuples(st.integers(1, 400), st.just(k)),
+        elements=st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.5, 2.0]),
+    )
+)
+
+
+class TestEmpiricalLaw:
+    @given(
+        z=_covariate_matrices
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_np_unique(self, z):
+        _assert_same_law(_law_of(z), z)
+
+    @given(
+        z=_covariate_matrices,
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lexsort_path_without_mixed_zeros(self, z, data):
+        # each column keeps one sign of zero, so every tie is bit-identical
+        # and the law must come from the lexsort alone
+        for j in range(z.shape[1]):
+            sign = data.draw(st.sampled_from([-0.0, 0.0]))
+            z[z[:, j] == 0, j] = sign
+        with mock.patch.object(np, "unique", side_effect=AssertionError("np.unique called")):
+            law = _law_of(z)
+        _assert_same_law(law, z)
+
+    def test_mixed_zeros_keep_np_unique_bits(self):
+        z = np.zeros((500, 2))
+        z[::3, 0] = -0.0
+        z[1::7, 1] = -0.0
+        z[::5, 1] = 1.0
+        _assert_same_law(_law_of(z), z)
 
 
 class TestSimulateAndSweep:

@@ -1,4 +1,7 @@
+import csv
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +29,10 @@ from hrmix import (
     simulate_trial,
     write_patient_csv,
 )
+from hrmix import data as data_module
 from hrmix.data import SubjectRecord, scenario_with
+
+from conftest import reference_read_patient_csv
 
 
 class TestCovariateDistribution:
@@ -222,6 +228,172 @@ class TestPatientCsv:
         path.write_text("trial_id,time,event,z1\nt1,1.0,3,0.0\n")
         with pytest.raises(ParseError):
             read_patient_csv(path)
+
+
+# Field texts of patient-line files.  The good ones parse and pass the
+# checks under Python float/int rules; the rest fail a conversion or a check.
+_GOOD_TIMES = ["1.5", "0.0", "-0.0", " 2.25 ", "+3", "1_0.5", "1e-300"]
+_BAD_TIMES = ["nan", "1e400", "-1.0", "-inf", "x", ""]
+_GOOD_EVENTS = ["0", "1", "01", " 1 ", "+0"]
+_BAD_EVENTS = ["1_0", "2", "-1", "1.0", "99999999999999999999", ""]
+_GOOD_COVARIATES = ["0.0", "-0.0", "1.0", " -2.5", "+0.5", "3_0", "5e-324"]
+_BAD_COVARIATES = ["nan", "1e400", "-inf", "z", ""]
+_TRIAL_IDS = ["t1", "t2", "a,b", 'say "hi"', "line\nbreak", "", "é"]
+
+
+def _records(k, times, events, covariates):
+    return st.tuples(
+        st.sampled_from(_TRIAL_IDS),
+        st.sampled_from(times),
+        st.sampled_from(events),
+        st.lists(st.sampled_from(covariates), min_size=k, max_size=k),
+    ).map(lambda r: [r[0], r[1], r[2], *r[3]])
+
+
+def _odd_records(k):
+    """Records that may fail: any field text, or one field too few or too many."""
+    fields = _records(
+        k, _GOOD_TIMES + _BAD_TIMES, _GOOD_EVENTS + _BAD_EVENTS, _GOOD_COVARIATES + _BAD_COVARIATES
+    )
+    return st.one_of(fields, fields.map(lambda r: r[:-1]), fields.map(lambda r: r + ["1.0"]))
+
+
+@functools.cache
+def _bulk_records(k, n):
+    """``n`` good records drawn by a fixed-seed generator, too many for Hypothesis to draw."""
+    rng = np.random.default_rng([n, k])
+    fields = [_TRIAL_IDS, _GOOD_TIMES, _GOOD_EVENTS] + [_GOOD_COVARIATES] * k
+    columns = [np.array(f, dtype=object)[rng.integers(0, len(f), n)] for f in fields]
+    return tuple(map(list, zip(*columns)))
+
+
+@st.composite
+def _patient_files(draw, bulk=0, first=0):
+    """(k, records) of a patient-line file: good records with blank and odd ones inserted.
+
+    With ``bulk``, the good records are that many fixed ones.  Inserted
+    records land at index ``first`` or later.
+    """
+    k = draw(st.integers(0, 3))
+    good = _records(k, _GOOD_TIMES, _GOOD_EVENTS, _GOOD_COVARIATES)
+    rows = list(_bulk_records(k, bulk)) if bulk else draw(st.lists(good, max_size=30))
+    for extra in (st.just([]), _odd_records(k)):
+        for _ in range(draw(st.integers(0, 3))):
+            rows.insert(draw(st.integers(min(first, len(rows)), len(rows))), draw(extra))
+    return k, rows
+
+
+def _write_records(path, k, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)])
+        writer.writerows(rows)
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: its datasets bit for bit, or its error."""
+    try:
+        datasets = reader(path)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [
+        (d.label, list(d.trial_ids))
+        + tuple((a.dtype.str, a.shape, a.tobytes()) for a in (d.times, d.events, d.covariates))
+        for d in datasets
+    ]
+
+
+class TestPatientCsvBlocks:
+    """The block-wise reader against the row-by-row reference reader."""
+
+    @given(file=_patient_files(), block=st.sampled_from([1, 2, 3, 5, 4096]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_by_row_reader(self, tmp_path_factory, file, block):
+        path = tmp_path_factory.mktemp("csv") / "lines.csv"
+        _write_records(path, *file)
+        with mock.patch.object(data_module, "_BLOCK_ROWS", block):
+            got = _outcome(read_patient_csv, path)
+        assert got == _outcome(reference_read_patient_csv, path)
+
+    @given(file=_patient_files(bulk=2 * 4096 + 37, first=4096))
+    @settings(max_examples=8, deadline=None)
+    def test_later_and_partial_blocks_at_full_size(self, tmp_path_factory, file):
+        # blank and odd records land in the second block or the last, partial one
+        assert data_module._BLOCK_ROWS == 4096
+        path = tmp_path_factory.mktemp("csv") / "lines.csv"
+        _write_records(path, *file)
+        assert _outcome(read_patient_csv, path) == _outcome(reference_read_patient_csv, path)
+
+    def test_int64_overflowing_event(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("trial_id,time,event,z1\nt1,1.0,1,0.0\n\nt1,2.0,99999999999999999999,1.0\n")
+        with pytest.raises(ParseError) as err:
+            read_patient_csv(path)
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: event must be 0 or 1, got 99999999999999999999"
+
+    def test_bad_record_before_csv_error_is_reported_first(self, tmp_path):
+        # the csv module rejects the oversized field two records later, in the same block
+        path = tmp_path / "bad.csv"
+        huge = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f"trial_id,time,event,z1\nt1,1.0,1,0.0\nt1,-1.0,1,0.0\n{huge},1.0,1,0.0\n")
+        for reader in (read_patient_csv, reference_read_patient_csv):
+            with pytest.raises(ParseError) as err:
+                reader(path)
+            assert err.value.line == 3
+
+    def test_header_only_file_has_no_trials(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("trial_id,time,event,z1\n\n")
+        assert read_patient_csv(path) == []
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = 'trial_id,time,event,z1\nt1,1.0,1,0.0\n"t,2",2.0,0,1.0\n'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        back = read_patient_csv(marked)
+        assert [d.label for d in back] == ["t1", "t,2"]
+        assert back == read_patient_csv(plain)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_with_awkward_labels(self, tmp_path_factory, data):
+        labels = data.draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+        k = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(1, 30))
+        which = data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+        times = data.draw(
+            st.lists(
+                st.floats(0.0, 1e300) | st.just(-0.0) | st.just(5e-324), min_size=n, max_size=n
+            )
+        )
+        events = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        cov = data.draw(
+            st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        mixed = TrialDataset(
+            times=np.array(times),
+            events=np.array(events),
+            covariates=np.array(cov),
+            trial_ids=np.array(which, dtype=object),
+        )
+        path = tmp_path_factory.mktemp("csv") / "lines.csv"
+        write_patient_csv([mixed], path)
+        back = read_patient_csv(path)
+        order = list(dict.fromkeys(which))
+        assert [d.label for d in back] == order
+        for d in back:
+            rows = np.flatnonzero(mixed.trial_ids == d.label)
+            assert list(d.trial_ids) == [d.label] * rows.size
+            assert d.times.tobytes() == mixed.times[rows].tobytes()
+            assert d.events.tobytes() == mixed.events[rows].tobytes()
+            assert d.covariates.tobytes() == mixed.covariates[rows].tobytes()
 
 
 class TestScenarioJson:
