@@ -107,21 +107,14 @@ def _load_aggregates(path):
 def _empirical_dist(pooled: data.TrialDataset) -> data.CovariateDistribution:
     """The empirical law of the pooled covariates: distinct rows in lexicographic order.
 
-    This is ``np.unique(covariates, axis=0, return_counts=True)`` by a
-    lexsort and run lengths.  Where a column holds both -0.0 and 0.0,
-    ``np.unique`` keeps whichever its unstable sort puts first in each tie,
-    so only ``np.unique`` itself reproduces those bits.
+    Equal to ``np.unique(covariates, axis=0, return_counts=True)`` in value,
+    by a lexsort and run lengths.  -0.0 and 0.0 count as one value.
     """
     z = pooled.covariates
-    zero = z == 0
-    negative_zero = zero & np.signbit(z)
-    if np.any(negative_zero.any(axis=0) & (zero & ~negative_zero).any(axis=0)):
-        rows, counts = np.unique(z, axis=0, return_counts=True)
-    else:
-        ordered = z[np.lexsort(z.T[::-1])]
-        starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
-        rows, counts = ordered[starts], np.diff(np.r_[starts, len(ordered)])
-    return data.CovariateDistribution(support=rows, probs=counts / counts.sum())
+    ordered = z[np.lexsort(z.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    counts = np.diff(np.r_[starts, len(ordered)])
+    return data.CovariateDistribution(support=ordered[starts], probs=counts / counts.sum())
 
 
 def _cmd_estimate(args) -> int:
