@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import breslow_cumhaz, fit_cox, fit_cox_rows
+from .cox import _CountTables, breslow_cumhaz, fit_cox
 from .data import (
     CovariateDistribution,
     ScenarioSpec,
     TrialDataset,
+    _draw_latent,
     pool,
     replicate_stream,
-    simulate_trial,
 )
 from .errors import HrmixError
 from .estimators import (
@@ -153,45 +153,37 @@ class SweepResult:
                 raise ValueError("percentiles must bracket the mean")
 
 
-# Replicates fitted together by the batched Cox solver.  Results do not
-# depend on it (each row fits to the same bits in any batch); it trades
-# interpreter overhead against the size of the (chunk, n) temporaries.  On
-# the Example-3 sweep, 16 keeps peak memory within 1 MB of fitting one
-# replicate at a time; 32 adds another 0.9 MB for a small further gain.
-_SWEEP_CHUNK = 16
+# Replicates fitted together.  Results do not depend on it (each row fits
+# to the same bits in any batch); it trades interpreter overhead against
+# the size of the count tables, which hold every study end's event blocks.
+_SWEEP_CHUNK = 6
 
 
 def _sorted_latent(scenario, replicates):
     """Latent (uncensored) data of a run of replicates, sorted per row.
 
     Each replicate draws its trials on its own stream in the usual order.
-    Returns (times, covariates) for the pooled data and then each trial,
-    stacked over replicates as (R, n) and (R, n, k) and sorted by
-    descending time within each row.
+    Returns (times, levels) for the pooled data and then each trial,
+    stacked over replicates as (R, n) and sorted by descending time within
+    each row; ``levels`` index the rows of the covariate support.
     """
     bounds = np.cumsum((0,) + scenario.sizes)
     times = np.empty((len(replicates), bounds[-1]))
-    covariates = np.empty(times.shape + (scenario.covariate_dist.k,))
+    levels = np.empty(times.shape, dtype=np.intp)
     for row, r in enumerate(replicates):
         rng = replicate_stream(scenario.seed, r)
         for i, (effect, size) in enumerate(zip(scenario.trial_effects, scenario.sizes)):
-            trial = simulate_trial(
-                effect,
-                size,
-                scenario.covariate_dist,
-                baseline=scenario.baseline,
-                rng=rng,
-                label=f"trial{i + 1}",
+            part = slice(bounds[i], bounds[i + 1])
+            levels[row, part], times[row, part] = _draw_latent(
+                effect, size, scenario.covariate_dist, scenario.baseline, rng
             )
-            times[row, bounds[i] : bounds[i + 1]] = trial.times
-            covariates[row, bounds[i] : bounds[i + 1]] = trial.covariates
     out = []
     for lo, hi in [(0, bounds[-1])] + list(zip(bounds[:-1], bounds[1:])):
         order = np.argsort(-times[:, lo:hi], axis=1, kind="stable")
         out.append(
             (
                 np.take_along_axis(times[:, lo:hi], order, axis=1),
-                np.take_along_axis(covariates[:, lo:hi], order[..., None], axis=1),
+                np.take_along_axis(levels[:, lo:hi], order, axis=1),
             )
         )
     return out
@@ -212,14 +204,18 @@ def bias_sweep(
     plug-in are recomputed; component 0 of each estimate (the arm
     indicator) is summarized.
 
-    Replicates are fitted in chunks by :func:`fit_cox_rows`.  Censoring
-    at t_max only caps the largest times, so each row's descending-time
-    order is sorted once and serves every grid value.  The binary
-    plug-in is one :func:`solve_cpl_binary` call over every cell whose
-    fits succeeded.  Replicate streams depend only on (seed, replicate)
-    and no row's fit depends on its chunk, so results depend on neither
-    the chunk size nor ``threads``, which is accepted for compatibility
-    and has no effect.
+    Replicates are fitted in chunks, one Newton solve per chunk and
+    dataset (pooled, trial 1, trial 2) whose rows are replicate x study
+    end.  The simulator's covariate law is tabulated, so each risk-set sum
+    is read off count tables: the at-risk count of every support point
+    times e^{beta'z} z^r, an O(m) sum over the m support points.
+    Censoring at t_max only caps the largest times, so the tables come
+    from the one latent descending-time order of the chunk and every study
+    end reads a suffix of its event blocks.  The binary plug-in is one
+    :func:`solve_cpl_binary` call over every cell whose fits succeeded.
+    Replicate streams depend only on (seed, replicate) and no row's fit
+    depends on its chunk, so results depend on neither the chunk size nor
+    ``threads``, which is accepted for compatibility and has no effect.
     """
     if len(scenario.trial_effects) != 2:
         raise ValueError("the sweep is defined for two-trial scenarios")
@@ -230,27 +226,9 @@ def bias_sweep(
         raise ValueError("t_max grid must be nonempty with distinct values")
     if np.any(grid <= 0):
         raise ValueError("t_max values must be positive")
-    binary_q = scenario.covariate_dist.arm_probability()
+    theta_pl, frac, alpha, beta = _sweep_fits(scenario, grid, replicates)
     p = scenario.mixing_p
-    shape = (replicates, grid.size)
-    theta_pl = np.full(shape, np.nan)
-    frac = np.empty(shape)
-    # per-trial log hazard ratios of the cells whose three fits succeeded
-    alpha = np.full(shape + (scenario.covariate_dist.k,), np.nan)
-    beta = np.full_like(alpha, np.nan)
-    for start in range(0, replicates, _SWEEP_CHUNK):
-        chunk = slice(start, min(start + _SWEEP_CHUNK, replicates))
-        latent = _sorted_latent(scenario, range(chunk.start, chunk.stop))
-        for g, t_max in enumerate(grid):
-            pooled, first, second = (
-                fit_cox_rows(np.minimum(times, t_max), times <= t_max, covariates)
-                for times, covariates in latent
-            )
-            frac[chunk, g] = 1.0 - pooled.n_events / latent[0][0].shape[1]
-            theta_pl[chunk, g] = np.where(pooled.ok, pooled.beta_hat[:, 0], np.nan)
-            fitted = (pooled.ok & first.ok & second.ok)[:, None]
-            alpha[chunk, g] = np.where(fitted, first.beta_hat, np.nan)
-            beta[chunk, g] = np.where(fitted, second.beta_hat, np.nan)
+    binary_q = scenario.covariate_dist.arm_probability()
     theta_m = _sweep_plugin(alpha, beta, p, binary_q, scenario.covariate_dist)
 
     failed = ~np.isfinite(theta_pl) | ~np.isfinite(theta_m)
@@ -281,6 +259,38 @@ def bias_sweep(
         replicates=replicates,
         master_seed=scenario.seed,
     )
+
+
+def _sweep_fits(scenario, grid, replicates):
+    """Pooled and per-trial fits of every replicate at every study end.
+
+    Returns component 0 of the pooled fit and the censored fraction, as
+    (replicates, study ends) arrays, and the per-trial log hazard ratios
+    of the cells whose three fits succeeded, as (replicates, study ends,
+    k); failed cells hold NaN.  The count tables are freed on return,
+    before the plug-in solve.
+    """
+    shape = (replicates, grid.size)
+    theta_pl = np.full(shape, np.nan)
+    frac = np.empty(shape)
+    alpha = np.full(shape + (scenario.covariate_dist.k,), np.nan)
+    beta = np.full_like(alpha, np.nan)
+
+    def by_cell(values):
+        # fitted row g * R + r is replicate r of the chunk at study end g
+        return values.reshape((grid.size, -1) + values.shape[1:]).swapaxes(0, 1)
+
+    tables = _CountTables(scenario.covariate_dist.support, grid)
+    for start in range(0, replicates, _SWEEP_CHUNK):
+        chunk = slice(start, min(start + _SWEEP_CHUNK, replicates))
+        latent = _sorted_latent(scenario, range(chunk.start, chunk.stop))
+        pooled, first, second = (tables.fit(times, levels) for times, levels in latent)
+        frac[chunk] = 1.0 - by_cell(pooled.n_events) / latent[0][0].shape[1]
+        theta_pl[chunk] = by_cell(np.where(pooled.ok, pooled.beta_hat[:, 0], np.nan))
+        fitted = (pooled.ok & first.ok & second.ok)[:, None]
+        alpha[chunk] = by_cell(np.where(fitted, first.beta_hat, np.nan))
+        beta[chunk] = by_cell(np.where(fitted, second.beta_hat, np.nan))
+    return theta_pl, frac, alpha, beta
 
 
 def _sweep_plugin(alpha, beta, p, binary_q, dist):

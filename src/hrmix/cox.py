@@ -3,14 +3,22 @@
 Implements the Newton solver for the log partial likelihood with the
 Breslow convention for ties, the observed-information covariance, and the
 Breslow step estimate of the baseline cumulative hazard.  The solver fits
-a batch of equal-size datasets at once, one per row: every row keeps its
-own convergence test, step-halving and failure checks, and no row's
+a batch of datasets at once, one per row: every row keeps its own
+convergence test, step-halving and failure checks, and no row's
 arithmetic depends on another, so a row fits to the same bits alone or in
-any batch.  Risk-set sums are running sums down each row in descending
-time, read at the end of each tie block (Therneau & Grambsch 2000,
-ch. 3).  :func:`fit_cox` is the one-row case; the censoring sweep fits a
-chunk of replicates per call, which removes the per-fit interpreter
-overhead that dominates a fit on a few hundred subjects.
+any batch.  The risk-set sums at the end of each tie block (Therneau &
+Grambsch 2000, ch. 3) come from one of two sources:
+
+- :func:`fit_cox_rows` (and :func:`fit_cox`, its one-row case) takes any
+  covariates: a risk-set sum is a running sum over the subjects of the
+  row in descending time.
+- The censoring sweep draws its covariates from a law with m support
+  points, so a risk-set sum is the at-risk count of each point times
+  e^{beta'z} z^r, an O(m) sum (:class:`_CountTables`).  Capping times at
+  a study end changes no risk set at an earlier event, so the tables of
+  one latent descending-time order serve every study end: each reads the
+  suffix of event blocks up to its end.  One solve fits a chunk of
+  replicates at every study end.
 """
 
 from __future__ import annotations
@@ -110,7 +118,43 @@ class BreslowCurve:
     cumulative: np.ndarray
 
 
-class _RiskSets:
+class _BlockSums:
+    """Breslow likelihood of R datasets from risk-set sums at event blocks.
+
+    A subclass sets ``n_rows``, ``k``, ``n_events`` (R,), ``no_contrast``
+    (R,), ``d`` (the event count of each event block) and ``z_event_sum``
+    (R, k).  Its ``risk_set_sums(beta)`` returns S0, the list of S1_j and
+    the dict of S2_jm (j <= m), the sums of exp(beta' Z) Z^r over the risk
+    set of each event block, plus a work array of the same length; the
+    caller may overwrite all four.  Its ``by_row(values)`` sums a value
+    per event block over each row.  A row's sums never read another row.
+    """
+
+    def loglik_score_info(self, beta: np.ndarray):
+        """Breslow log partial likelihood, score and observed information per row."""
+        k = self.k
+        s0, s1, s2, tmp = self.risk_set_sums(beta)
+        ll = beta[:, 0] * self.z_event_sum[:, 0]
+        for j in range(1, k):
+            ll += beta[:, j] * self.z_event_sum[:, j]
+        ll -= self.by_row(np.multiply(self.d, np.log(s0, out=tmp), out=tmp))
+        score = np.empty((self.n_rows, k))
+        info = np.empty((self.n_rows, k, k))
+        # the sums are overwritten in place: S1_j / S0 is the risk-set mean
+        # of Z_j, and S2_jm / S0 less the product of means is its covariance
+        zbar = s1
+        for j in range(k):
+            zbar[j] /= s0
+            weighted = np.multiply(self.d, zbar[j], out=tmp)
+            score[:, j] = self.z_event_sum[:, j] - self.by_row(weighted)
+        for (j, m), spread in s2.items():
+            spread /= s0
+            spread -= np.multiply(zbar[j], zbar[m], out=tmp)
+            info[:, j, m] = info[:, m, j] = self.by_row(np.multiply(self.d, spread, out=spread))
+        return ll, score, info
+
+
+class _RiskSets(_BlockSums):
     """Tie-block structure of R equal-size datasets, each in descending time.
 
     The risk set of an event is every subject in its own tie block and in
@@ -119,15 +163,14 @@ class _RiskSets:
     events enter the likelihood: ``ends`` holds their last positions as
     flat indices into an (R, n) array, ``d`` their event counts and
     ``row`` their rows.  Per-row sums go through ``np.bincount``, which
-    adds each row's terms in order, so a row's sums never depend on the
-    other rows.
+    adds each row's terms in order.
     """
 
     def __init__(self, t: np.ndarray, d: np.ndarray, z: np.ndarray):
         # t, d: (R, n); z: (k, R, n), each row sorted by descending time
-        self.shape = t.shape
+        self.n_rows, n = t.shape
+        self.k = len(z)
         self.z = z
-        n = t.shape[1]
         last = np.empty(t.shape, dtype=bool)
         np.not_equal(t[:, 1:], t[:, :-1], out=last[:, :-1])
         last[:, -1] = True
@@ -143,14 +186,21 @@ class _RiskSets:
         events = np.flatnonzero(d)
         self.z_event_sum = np.array(
             [self._by_row(zj.ravel()[events], events // n) for zj in z]
-        ).reshape(len(z), self.shape[0]).T
+        ).reshape(self.k, self.n_rows).T
 
-    def _by_row(self, values, rows=None):
-        return np.bincount(self.row if rows is None else rows, values, self.shape[0])
+    @property
+    def no_contrast(self) -> np.ndarray:
+        return np.all([zj.max(axis=1) == zj.min(axis=1) for zj in self.z], axis=0)
+
+    def _by_row(self, values, rows):
+        return np.bincount(rows, values, self.n_rows)
+
+    def by_row(self, values):
+        return self._by_row(values, self.row)
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
         eta = self.z[0] * beta[:, 0, None]
-        for j in range(1, len(self.z)):
+        for j in range(1, self.k):
             eta += self.z[j] * beta[:, j, None]
         return eta
 
@@ -158,25 +208,123 @@ class _RiskSets:
         """Risk-set sums of per-subject ``values`` at the event blocks."""
         return np.cumsum(values, axis=1).ravel()[self.ends]
 
-    def loglik_score_info(self, beta: np.ndarray):
-        """Breslow log partial likelihood, score and observed information per row."""
-        k = len(self.z)
+    def risk_set_sums(self, beta: np.ndarray):
         w = np.exp(self.linear_predictor(beta))
-        s0 = self.risk_sums(w)
-        ll = beta[:, 0] * self.z_event_sum[:, 0]
-        for j in range(1, k):
-            ll += beta[:, j] * self.z_event_sum[:, j]
-        ll -= self._by_row(self.d * np.log(s0))
-        score = np.empty((self.shape[0], k))
-        info = np.empty((self.shape[0], k, k))
         wz = [w * zj for zj in self.z]
-        zbar = [self.risk_sums(wzj) / s0 for wzj in wz]
-        for j in range(k):
-            score[:, j] = self.z_event_sum[:, j] - self._by_row(self.d * zbar[j])
-            for m in range(j, k):
-                spread = self.risk_sums(wz[j] * self.z[m]) / s0 - zbar[j] * zbar[m]
-                info[:, j, m] = info[:, m, j] = self._by_row(self.d * spread)
-        return ll, score, info
+        s1 = [self.risk_sums(wzj) for wzj in wz]
+        s2 = {
+            (j, m): self.risk_sums(wz[j] * self.z[m])
+            for j in range(self.k)
+            for m in range(j, self.k)
+        }
+        return self.risk_sums(w), s1, s2, np.empty(self.d.size)
+
+
+class _CountTables(_BlockSums):
+    """Risk sets of uncensored data on a finite covariate support, capped at
+    every study end, as at-risk counts per support point.
+
+    :meth:`fit` takes R latent datasets: row r holds event times in
+    descending order and each subject's support level.  Fitted row
+    g * R + r is row r censored at ``study_ends[g]``.  Capping times at
+    t_max changes no risk set at an event before t_max, so every study end
+    reads the tie blocks of the one latent order: the blocks with time <=
+    t_max, which in that order are a suffix.  ``counts[s, b]`` is the
+    number of subjects at level s at risk at the end of block b, so a
+    risk-set sum is the O(m) sum sum_s counts[s, b] e^{beta' z_s} z_s^r
+    over the m support points, not a running sum over every subject.
+    ``counts`` and ``d`` hold each fitted row's blocks contiguously, rows
+    in order, and per-row sums go through ``np.add.reduceat``.  The tables
+    and the work rows of an evaluation live in one buffer that every
+    :meth:`fit` reuses, so a sweep touches fresh memory only once.
+    """
+
+    def __init__(self, support: np.ndarray, study_ends):
+        self.support = support
+        self.k = support.shape[1]
+        self.ends = np.asarray(study_ends, dtype=float)
+        self._pairs = [(j, m) for j in range(self.k) for m in range(j, self.k)]
+        self._buffer = np.empty(0)
+
+    def fit(self, times, levels, tol: float = 1e-10, max_iter: int = 100) -> CoxRows:
+        """Fit every latent row of (times, levels) at every study end."""
+        self._load(times, levels)
+        return _newton(self, tol, max_iter)
+
+    def _load(self, times: np.ndarray, levels: np.ndarray) -> None:
+        R, n = times.shape
+        m = len(self.support)
+        G = self.ends.size
+        self.n_rows = G * R
+        # a subject is an event at study end g when it has rank <= g
+        rank = np.searchsorted(self.ends, times)
+        tally = np.bincount(
+            ((np.arange(R)[:, None] * (G + 1) + rank) * m + levels).ravel(),
+            minlength=R * (G + 1) * m,
+        ).reshape(R, G + 1, m)
+        events = np.cumsum(tally[:, :G], axis=1).transpose(1, 0, 2).reshape(G * R, m)
+        self.n_events = events.sum(axis=1)
+        self.no_contrast = np.tile(np.count_nonzero(tally.sum(axis=1), axis=1) <= 1, G)
+        self.z_event_sum = np.zeros((self.n_rows, self.k))
+        for s in range(m):
+            self.z_event_sum += events[:, s, None] * self.support[s]
+        last = np.empty(times.shape, dtype=bool)
+        np.not_equal(times[:, 1:], times[:, :-1], out=last[:, :-1])
+        last[:, -1] = True
+        block_end = np.flatnonzero(last)
+        # every row ends a block, so differences of the flat positions are
+        # block sizes even across rows; every latent subject is an event
+        block_d = np.diff(block_end, prepend=-1).astype(float)
+        block_rank = rank.ravel()[block_end]
+        blocks = np.bincount(
+            block_end // n * (G + 1) + block_rank, minlength=R * (G + 1)
+        ).reshape(R, G + 1)
+        self.lengths = np.cumsum(blocks[:, :G], axis=1).T.ravel()
+        offsets = np.cumsum(self.lengths) - self.lengths
+        self.nonempty = self.lengths > 0
+        self.starts = offsets[self.nonempty]
+        # rows: counts per level, d, then S0, S1_j, S2_jm and one work row
+        size = self.lengths.sum()
+        rows = m + 3 + self.k + len(self._pairs)
+        if self._buffer.size < rows * size:
+            # room for one block per subject: later fits of no more rows and
+            # subjects reuse it, and the unused tail is never touched
+            self._buffer = np.empty(rows * self.n_rows * n)
+        table = self._buffer[: rows * size].reshape(rows, size)
+        self.counts, self.d, self._scratch = table[:m], table[m], table[m + 1 :]
+        take = np.concatenate([np.flatnonzero(block_rank <= g) for g in range(G)])
+        np.take(block_d, take, out=self.d)
+        take = block_end[take]
+        for s in range(m):
+            np.take(np.cumsum(levels == s, axis=1, dtype=float), take, out=self.counts[s])
+
+    def by_row(self, values):
+        out = np.zeros(self.n_rows)
+        out[self.nonempty] = np.add.reduceat(values, self.starts)
+        return out
+
+    def risk_set_sums(self, beta: np.ndarray):
+        k = self.k
+        eta = beta[:, 0, None] * self.support[:, 0]
+        for j in range(1, k):
+            eta += beta[:, j, None] * self.support[:, j]
+        e = np.exp(eta).T
+        sums = self._scratch[:-1]
+        sums.fill(0.0)
+        s0, s1, s2 = sums[0], list(sums[1 : 1 + k]), dict(zip(self._pairs, sums[1 + k :]))
+        wz = self._scratch[-1]
+        for level, z in enumerate(self.support):
+            # the level's at-risk count times exp(beta' z), added in level order
+            w = np.repeat(e[level], self.lengths)
+            w *= self.counts[level]
+            s0 += w
+            for j in range(k):
+                s1[j] += np.multiply(w, z[j], out=wz)
+                for m in range(j, k - 1):
+                    s2[j, m] += wz * z[m]
+                wz *= z[k - 1]
+                s2[j, k - 1] += wz
+        return s0, s1, s2, wz
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray):
@@ -199,15 +347,14 @@ def _solve_rows(a: np.ndarray, b: np.ndarray):
     return x, singular
 
 
-def _newton(sets: _RiskSets, tol: float, max_iter: int) -> CoxRows:
+def _newton(sets: _BlockSums, tol: float, max_iter: int) -> CoxRows:
     """Safeguarded Newton from beta = 0 on every row of ``sets``."""
-    R = sets.shape[0]
-    k = len(sets.z)
+    R = sets.n_rows
+    k = sets.k
     failure = np.zeros(R, dtype=np.int8)
     n_events = sets.n_events
     failure[n_events == 0] = _NO_EVENTS
-    no_contrast = np.all([zj.max(axis=1) == zj.min(axis=1) for zj in sets.z], axis=0)
-    failure[(failure == 0) & no_contrast] = _NO_CONTRAST
+    failure[(failure == 0) & sets.no_contrast] = _NO_CONTRAST
     gtol = np.maximum(tol, 1e-12 * n_events)
     floor = 1e-8 * n_events
     beta = np.zeros((R, k))

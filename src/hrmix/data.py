@@ -329,6 +329,21 @@ def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(replicate << 64) | master_seed))
 
 
+def _draw_latent(effect, size: int, dist: CovariateDistribution, baseline, rng):
+    """Support levels and latent event times of ``size`` subjects.
+
+    The levels index ``dist.support``; times come from inverse-transform
+    sampling T = H0^{-1}(E / exp(effect' Z)) with E a unit exponential.
+    Levels are drawn before times, so the stream is consumed in that order.
+    """
+    levels = rng.choice(dist.support.shape[0], size=size, p=dist.probs)
+    unit = rng.exponential(size=size)
+    latent = unit / np.exp(dist.support[levels] @ effect)
+    if baseline is not None:
+        latent = np.asarray(baseline(latent), dtype=float)
+    return levels, latent
+
+
 def simulate_trial(
     effect,
     size: int,
@@ -351,12 +366,8 @@ def simulate_trial(
     if effect.shape != (dist.k,):
         raise DimensionMismatchError("effect dimension must match the covariate law")
     rng = rng if rng is not None else np.random.default_rng()
-    idx = rng.choice(dist.support.shape[0], size=size, p=dist.probs)
-    z = dist.support[idx]
-    unit = rng.exponential(size=size)
-    latent = unit / np.exp(z @ effect)
-    if baseline is not None:
-        latent = np.asarray(baseline(latent), dtype=float)
+    levels, latent = _draw_latent(effect, size, dist, baseline, rng)
+    z = dist.support[levels]
     if isinstance(censoring, NoCensoring):
         times, events = latent, np.ones(size, dtype=np.int64)
     elif isinstance(censoring, AdministrativeCensoring):
@@ -536,9 +547,10 @@ def read_patient_csv(path) -> list[TrialDataset]:
       write/read round-trips on files produced by :func:`write_patient_csv`;
     - ``time`` and the covariates are parsed as Python ``float`` parses
       them, and ``event`` as ``int`` does;
-    - a bad value raises ``ParseError`` whose ``line`` is the CSV record
-      number: the header is record 1, blank records count, and a quoted
-      line break does not start a new record.
+    - a bad value, or a record the csv module rejects (such as a field
+      longer than ``csv.field_size_limit()``), raises ``ParseError`` whose
+      ``line`` is the CSV record number: the header is record 1, blank
+      records count, and a quoted line break does not start a new record.
 
     Records are converted and checked a block at a time, column by column.
     """
@@ -564,10 +576,10 @@ def read_patient_csv(path) -> list[TrialDataset]:
             block: list = []
             try:
                 block.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except csv.Error:
+            except csv.Error as exc:
                 # a bad record read before the csv error is reported first
                 _block_columns(block, lineno, k)
-                raise
+                raise ParseError(str(exc), line=lineno + len(block)) from None
             if not block:
                 break
             ids, times, events, cov = _block_columns(block, lineno, k)

@@ -110,6 +110,13 @@ class TestEstimate:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["estimate", "--aggregates", "/nonexistent.json"]) == 2
 
+    def test_oversized_trial_id_is_input_error(self, capsys, tmp_path):
+        lines = tmp_path / "lines.csv"
+        huge = "x" * (csv.field_size_limit() + 1)
+        lines.write_text(f"trial_id,time,event,z1\nt1,1.0,1,0.0\n{huge},1.0,1,0.0\n")
+        assert main(["estimate", "--lines", str(lines)]) == 2
+        assert capsys.readouterr().err.startswith("hrmix: input error: line 3: field larger")
+
 
 def _law_of(z):
     n = z.shape[0]

@@ -1,6 +1,8 @@
-"""The batched Cox fitter against the scalar loop it replaced, and the
-replicate-batched censoring sweep against a per-replicate loop."""
+"""The batched Cox fitter against the scalar loop it replaced, the
+count-table fit against the batched fitter, and the replicate-batched
+censoring sweep against a per-replicate loop."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +21,10 @@ from hrmix import (
     pool,
     simulate_scenario,
     solve_cpl_binary,
+    solve_theta_pl_general,
 )
 from hrmix import analysis
+from hrmix.cox import _CountTables
 
 from conftest import naive_log_partial_likelihood, reference_fit_cox
 
@@ -119,6 +123,84 @@ def test_tied_two_covariates_against_naive_likelihood():
     assert np.max(np.abs(fit.beta_hat - [b1, b2])) <= 0.1
 
 
+def _latent_levels(seed, R, n, m, k):
+    """Uncensored datasets on an m-point support, times on a 0.1 lattice.
+
+    Returns (support, times, levels) with each row sorted by descending
+    time.  A sixth of the rows hold a single support point, and small n
+    leaves many rows whose covariates separate the events.
+    """
+    rng = np.random.default_rng(seed)
+    lattice = np.array(list(itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5], repeat=k)))
+    support = lattice[rng.choice(len(lattice), size=m, replace=False)]
+    levels = rng.integers(0, m, size=(R, n))
+    single = rng.random(R) < 1 / 6
+    levels[single] = levels[single, :1]
+    effect = rng.normal(size=k)
+    times = np.round(rng.exponential(size=(R, n)) / np.exp(support[levels] @ effect), 1)
+    order = np.argsort(-times, axis=1, kind="stable")
+    return (
+        support,
+        np.take_along_axis(times, order, axis=1),
+        np.take_along_axis(levels, order, axis=1),
+    )
+
+
+def _affine_rank(points):
+    return int(np.linalg.matrix_rank(points - points[0])) if len(points) > 1 else 0
+
+
+STUDY_ENDS = [0.05, 0.3, 0.8, 2.0, math.inf]
+
+
+@pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 4), (2, 6)])
+def test_count_tables_match_fit_cox_rows(k, m):
+    support, times, levels = _latent_levels(300 + 10 * k + m, 150, 8, m, k)
+    tables = _CountTables(support, STUDY_ENDS).fit(times, levels)
+    R = len(times)
+    # the information is singular for every beta when the covariates of a
+    # row lie on fewer than k dimensions; which failure check fires first
+    # then turns on rounding, in either fit
+    full = np.array([_affine_rank(support[np.unique(row)]) == k for row in levels])
+    codes = set()
+    for g, t_max in enumerate(STUDY_ENDS):
+        rows = fit_cox_rows(np.minimum(times, t_max), times <= t_max, support[levels])
+        mine = slice(g * R, (g + 1) * R)
+        np.testing.assert_array_equal(tables.n_events[mine], rows.n_events)
+        np.testing.assert_array_equal(tables.failure[mine][full], rows.failure[full])
+        np.testing.assert_array_equal(tables.iterations[mine][full], rows.iterations[full])
+        ok = rows.ok & full
+        np.testing.assert_allclose(tables.beta_hat[mine][ok], rows.beta_hat[ok], rtol=0, atol=1e-12)
+        for r in np.flatnonzero(~full):
+            assert rows.failure[r] != 0 and tables.failure[g * R + r] != 0
+            assert type(tables.error(g * R + r)) is type(rows.error(r))
+        codes |= set(rows.failure.tolist())
+    assert full.any() == (m > k) and {1, 2} < codes and len(codes) >= 4
+
+
+@pytest.mark.parametrize(
+    "scenario,grid,replicates",
+    [
+        ("example3", [1.0, 2.0, 4.0, 7.0, 10.0, math.inf], 48),
+        ("tiny", [0.15, 0.5, 2.0, math.inf], 100),
+    ],
+)
+def test_sweep_tables_match_fit_cox_rows(scenario, grid, replicates, example3_scenario):
+    scenario = example3_scenario if scenario == "example3" else TINY
+    support = scenario.covariate_dist.support
+    count_tables = _CountTables(support, grid)
+    for times, levels in analysis._sorted_latent(scenario, range(replicates)):
+        tables = count_tables.fit(times, levels)
+        for g, t_max in enumerate(grid):
+            rows = fit_cox_rows(np.minimum(times, t_max), times <= t_max, support[levels])
+            mine = slice(g * replicates, (g + 1) * replicates)
+            np.testing.assert_array_equal(tables.failure[mine], rows.failure)
+            np.testing.assert_array_equal(tables.iterations[mine], rows.iterations)
+            np.testing.assert_allclose(
+                tables.beta_hat[mine][rows.ok], rows.beta_hat[rows.ok], rtol=0, atol=1e-12
+            )
+
+
 def _sweep_by_replicate(scenario, grid, replicates):
     """The sweep as a per-replicate loop over censored copies of the data."""
     q = scenario.covariate_dist.arm_probability()
@@ -133,8 +215,13 @@ def _sweep_by_replicate(scenario, grid, replicates):
             frac[r, g] = 1.0 - pooled.events.mean()
             try:
                 pl = fit_cox(pooled).beta_hat[0]
-                a, b = (math.exp(fit_cox(d).beta_hat[0]) for d in censored)
-                theta_m[r, g] = math.log(solve_cpl_binary(a, b, scenario.mixing_p, q))
+                a, b = (fit_cox(d).beta_hat for d in censored)
+                if q is None:
+                    m = solve_theta_pl_general(a, b, scenario.mixing_p, scenario.covariate_dist)[0]
+                else:
+                    c = solve_cpl_binary(math.exp(a[0]), math.exp(b[0]), scenario.mixing_p, q)
+                    m = math.log(c)
+                theta_m[r, g] = m
                 theta_pl[r, g] = pl
             except HrmixError:
                 continue
@@ -162,6 +249,39 @@ def test_degenerate_sweep_matches_per_replicate_loop():
     np.testing.assert_allclose(result.theta_pl_mean, pl_mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.theta_m_mean, m_mean, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(result.censored_fraction, frac_mean)
+
+
+# arm plus a binary stratum: the plug-in is the general solve
+STRATIFIED = ScenarioSpec(
+    trial_effects=[[math.log(0.3), 0.4], [math.log(0.8), -0.2]],
+    sizes=(12, 9),
+    covariate_dist=CovariateDistribution(
+        support=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        probs=np.array([0.3, 0.3, 0.2, 0.2]),
+    ),
+    seed=12,
+)
+
+
+def test_stratified_sweep_matches_per_replicate_loop():
+    result = bias_sweep(STRATIFIED, TINY_GRID, replicates=100)
+    n_failed, (pl_mean, m_mean, frac_mean) = _sweep_by_replicate(STRATIFIED, TINY_GRID, 100)
+    np.testing.assert_array_equal(result.n_failed, n_failed)
+    assert result.n_failed[0] > 50 and 0 < result.n_failed[-1] < 100
+    np.testing.assert_allclose(result.theta_pl_mean, pl_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.theta_m_mean, m_mean, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(result.censored_fraction, frac_mean)
+
+
+@pytest.mark.parametrize("scenario", [TINY, STRATIFIED], ids=["tiny", "stratified"])
+def test_sweep_does_not_depend_on_chunk(scenario, monkeypatch):
+    # the rows of a chunk share one Newton solve, yet no row reads another
+    base = bias_sweep(scenario, TINY_GRID, replicates=100)
+    for chunk in (1, 7, 100):
+        monkeypatch.setattr(analysis, "_SWEEP_CHUNK", chunk)
+        result = bias_sweep(scenario, TINY_GRID, replicates=100)
+        for name, value in vars(base).items():
+            np.testing.assert_array_equal(getattr(result, name), value, err_msg=name)
 
 
 def test_plugin_failure_stays_with_its_cell(monkeypatch):

@@ -342,6 +342,18 @@ class TestPatientCsvBlocks:
                 reader(path)
             assert err.value.line == 3
 
+    @pytest.mark.parametrize("block_rows", [2, 4096])
+    def test_oversized_field_is_parse_error(self, tmp_path, monkeypatch, block_rows):
+        # the csv module's own error carries the number of the record it stopped at
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "bad.csv"
+        huge = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f"trial_id,time,event,z1\nt1,1.0,1,0.0\n\nt1,2.0,0,1.0\n{huge},1.0,1,0.0\n")
+        with pytest.raises(ParseError) as err:
+            read_patient_csv(path)
+        assert err.value.line == 5
+        assert str(err.value).startswith("line 5: field larger than field limit")
+
     def test_header_only_file_has_no_trials(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("trial_id,time,event,z1\n\n")
