@@ -156,6 +156,9 @@ class SweepResult:
 # Replicates fitted together.  Results do not depend on it (each row fits
 # to the same bits in any batch); it trades interpreter overhead against
 # the size of the count tables, which hold every study end's event blocks.
+# On the Example-3 sweep (200 replicates x 6 study ends), 6 keeps peak RSS
+# about 1 MB above the per-study-end running-sum fits that the tables
+# replaced; 8 runs about 10% faster and adds another 0.8 MB.
 _SWEEP_CHUNK = 6
 
 

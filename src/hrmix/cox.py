@@ -242,7 +242,7 @@ class _CountTables(_BlockSums):
     def __init__(self, support: np.ndarray, study_ends):
         self.support = support
         self.k = support.shape[1]
-        self.ends = np.asarray(study_ends, dtype=float)
+        self.study_ends = np.asarray(study_ends, dtype=float)
         self._pairs = [(j, m) for j in range(self.k) for m in range(j, self.k)]
         self._buffer = np.empty(0)
 
@@ -254,10 +254,11 @@ class _CountTables(_BlockSums):
     def _load(self, times: np.ndarray, levels: np.ndarray) -> None:
         R, n = times.shape
         m = len(self.support)
-        G = self.ends.size
+        G = self.study_ends.size
         self.n_rows = G * R
-        # a subject is an event at study end g when it has rank <= g
-        rank = np.searchsorted(self.ends, times)
+        # rank: the number of study ends below a subject's time, so that it
+        # is an event at study end g when rank <= g; tally[r, rank, level]
+        rank = np.searchsorted(self.study_ends, times)
         tally = np.bincount(
             ((np.arange(R)[:, None] * (G + 1) + rank) * m + levels).ravel(),
             minlength=R * (G + 1) * m,
@@ -292,11 +293,12 @@ class _CountTables(_BlockSums):
             self._buffer = np.empty(rows * self.n_rows * n)
         table = self._buffer[: rows * size].reshape(rows, size)
         self.counts, self.d, self._scratch = table[:m], table[m], table[m + 1 :]
-        take = np.concatenate([np.flatnonzero(block_rank <= g) for g in range(G)])
-        np.take(block_d, take, out=self.d)
-        take = block_end[take]
+        used = np.concatenate([np.flatnonzero(block_rank <= g) for g in range(G)])
+        np.take(block_d, used, out=self.d)
+        used_ends = block_end[used]
         for s in range(m):
-            np.take(np.cumsum(levels == s, axis=1, dtype=float), take, out=self.counts[s])
+            at_risk = np.cumsum(levels == s, axis=1, dtype=float)
+            np.take(at_risk, used_ends, out=self.counts[s])
 
     def by_row(self, values):
         out = np.zeros(self.n_rows)
