@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import _CountTables, breslow_cumhaz, fit_cox
+from .cox import _CountTables, breslow_cumhaz, fit_cox, fit_cox_rows
 from .data import (
     CovariateDistribution,
     ScenarioSpec,
@@ -161,6 +161,14 @@ class SweepResult:
 # replaced; 8 runs about 10% faster and adds another 0.8 MB.
 _SWEEP_CHUNK = 6
 
+# Count tables serve laws of at most this many support points per
+# covariate; larger laws are fitted by running sums over the subjects
+# (fit_cox_rows).  A table sum costs O(m) per event block, a running sum
+# O(1) per subject.  On the sweep of Example-3 sizes the two cost the same
+# near m = 8 with k = 1 and near m = 16 with k = 2; at m = 64, k = 2 the
+# tables took 2.9 times as long.
+_TABLE_LEVELS_PER_COVARIATE = 8
+
 
 def _sorted_latent(scenario, replicates):
     """Latent (uncensored) data of a run of replicates, sorted per row.
@@ -214,7 +222,10 @@ def bias_sweep(
     times e^{beta'z} z^r, an O(m) sum over the m support points.
     Censoring at t_max only caps the largest times, so the tables come
     from the one latent descending-time order of the chunk and every study
-    end reads a suffix of its event blocks.  The binary plug-in is one
+    end reads a suffix of its event blocks.  A law with more than
+    ``_TABLE_LEVELS_PER_COVARIATE`` points per covariate is fitted by
+    running sums over the subjects instead (:func:`fit_cox_rows`, every
+    study end in one call).  The binary plug-in is one
     :func:`solve_cpl_binary` call over every cell whose fits succeeded.
     Replicate streams depend only on (seed, replicate) and no row's fit
     depends on its chunk, so results depend on neither the chunk size nor
@@ -283,17 +294,40 @@ def _sweep_fits(scenario, grid, replicates):
         # fitted row g * R + r is replicate r of the chunk at study end g
         return values.reshape((grid.size, -1) + values.shape[1:]).swapaxes(0, 1)
 
-    tables = _CountTables(scenario.covariate_dist.support, grid)
+    support = scenario.covariate_dist.support
+    if len(support) <= _TABLE_LEVELS_PER_COVARIATE * support.shape[1]:
+        fit = _CountTables(support, grid).fit
+    else:
+
+        def fit(times, levels):
+            return _capped_rows(times, levels, support, grid)
+
     for start in range(0, replicates, _SWEEP_CHUNK):
         chunk = slice(start, min(start + _SWEEP_CHUNK, replicates))
         latent = _sorted_latent(scenario, range(chunk.start, chunk.stop))
-        pooled, first, second = (tables.fit(times, levels) for times, levels in latent)
+        pooled, first, second = (fit(times, levels) for times, levels in latent)
         frac[chunk] = 1.0 - by_cell(pooled.n_events) / latent[0][0].shape[1]
         theta_pl[chunk] = by_cell(np.where(pooled.ok, pooled.beta_hat[:, 0], np.nan))
         fitted = (pooled.ok & first.ok & second.ok)[:, None]
         alpha[chunk] = by_cell(np.where(fitted, first.beta_hat, np.nan))
         beta[chunk] = by_cell(np.where(fitted, second.beta_hat, np.nan))
     return theta_pl, frac, alpha, beta
+
+
+def _capped_rows(times, levels, support, grid):
+    """:func:`fit_cox_rows` on every latent row censored at every study end.
+
+    Rows are laid out as in the count-table fit: fitted row g * R + r is
+    row r censored at ``grid[g]``.
+    """
+    n, k = times.shape[1], support.shape[1]
+    ends = grid[:, None, None]
+    covariates = np.broadcast_to(support[levels], (grid.size,) + levels.shape + (k,))
+    return fit_cox_rows(
+        np.minimum(times, ends).reshape(-1, n),
+        (times <= ends).reshape(-1, n),
+        covariates.reshape(-1, n, k),
+    )
 
 
 def _sweep_plugin(alpha, beta, p, binary_q, dist):

@@ -18,7 +18,8 @@ Grambsch 2000, ch. 3) come from one of two sources:
   a study end changes no risk set at an earlier event, so the tables of
   one latent descending-time order serve every study end: each reads the
   suffix of event blocks up to its end.  One solve fits a chunk of
-  replicates at every study end.
+  replicates at every study end.  The sweep takes this path only for
+  laws of a few points per covariate, where O(m) beats a running sum.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ __all__ = ["CoxFit", "CoxRows", "BreslowCurve", "fit_cox", "fit_cox_rows", "bres
 # (perfect separation); e^50 exceeds any plausible hazard ratio.
 _DIVERGENCE_BOUND = 50.0
 _MAX_HALVINGS = 25
+# Score tolerance and iteration budget of every fit unless the caller
+# passes its own: the count-table fit uses them too, so that it stops
+# where fit_cox_rows does.
+_TOL = 1e-10
+_MAX_ITER = 100
 
 # Row failure codes of the batched fit, with the error each one raises.
 _NO_EVENTS, _NO_CONTRAST, _SINGULAR, _DIVERGED, _NOT_CONVERGED, _COLLAPSED = range(1, 7)
@@ -246,10 +252,10 @@ class _CountTables(_BlockSums):
         self._pairs = [(j, m) for j in range(self.k) for m in range(j, self.k)]
         self._buffer = np.empty(0)
 
-    def fit(self, times, levels, tol: float = 1e-10, max_iter: int = 100) -> CoxRows:
+    def fit(self, times, levels) -> CoxRows:
         """Fit every latent row of (times, levels) at every study end."""
         self._load(times, levels)
-        return _newton(self, tol, max_iter)
+        return _newton(self, _TOL, _MAX_ITER)
 
     def _load(self, times: np.ndarray, levels: np.ndarray) -> None:
         R, n = times.shape
@@ -428,7 +434,7 @@ def _newton(sets: _BlockSums, tol: float, max_iter: int) -> CoxRows:
     )
 
 
-def fit_cox_rows(times, events, covariates, tol: float = 1e-10, max_iter: int = 100) -> CoxRows:
+def fit_cox_rows(times, events, covariates, tol: float = _TOL, max_iter: int = _MAX_ITER) -> CoxRows:
     """Fit one Cox model per row of a batch of equal-size datasets.
 
     ``times`` and ``events`` are (R, n) and ``covariates`` (R, n, k) with
@@ -461,7 +467,7 @@ def _sorted_row(data: TrialDataset):
     return data.times[order][None], data.events[order][None], data.covariates[order][None]
 
 
-def fit_cox(data: TrialDataset, tol: float = 1e-10, max_iter: int = 100) -> CoxFit:
+def fit_cox(data: TrialDataset, tol: float = _TOL, max_iter: int = _MAX_ITER) -> CoxFit:
     """Maximize the Cox partial likelihood over the log hazard ratios.
 
     Newton iteration from the zero vector with step-halving (the partial

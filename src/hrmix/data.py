@@ -560,6 +560,8 @@ def read_patient_csv(path) -> list[TrialDataset]:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file", missing=["trial_id", "time", "event"]) from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=1) from None
         expected = ["trial_id", "time", "event"]
         missing = [c for c in expected if c not in header]
         if missing:
@@ -598,7 +600,9 @@ def read_patient_csv(path) -> list[TrialDataset]:
             times=times[idx],
             events=events[idx],
             covariates=cov[idx],
-            trial_ids=np.full(idx.size, tid, dtype=object),
+            # np.full would pass tid through a numpy string, which drops
+            # trailing NUL characters
+            trial_ids=np.array([tid] * idx.size, dtype=object),
             label=tid,
         )
         for tid, idx in zip(codes, np.split(order, bounds))

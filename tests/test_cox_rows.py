@@ -273,7 +273,34 @@ def test_stratified_sweep_matches_per_replicate_loop():
     np.testing.assert_array_equal(result.censored_fraction, frac_mean)
 
 
-@pytest.mark.parametrize("scenario", [TINY, STRATIFIED], ids=["tiny", "stratified"])
+# more support points than the count tables serve: the sweep fits by
+# running sums over the subjects
+WIDE = ScenarioSpec(
+    trial_effects=[[math.log(0.3)], [math.log(0.8)]],
+    sizes=(12, 9),
+    covariate_dist=CovariateDistribution(
+        support=np.linspace(-1.0, 1.0, 10)[:, None], probs=np.full(10, 0.1)
+    ),
+    seed=13,
+)
+
+
+def test_wide_law_sweep_matches_per_replicate_loop(monkeypatch):
+    support = WIDE.covariate_dist.support
+    assert len(support) > analysis._TABLE_LEVELS_PER_COVARIATE * support.shape[1]
+    monkeypatch.setattr(analysis, "_CountTables", None)
+    result = bias_sweep(WIDE, TINY_GRID, replicates=100)
+    n_failed, (pl_mean, m_mean, frac_mean) = _sweep_by_replicate(WIDE, TINY_GRID, 100)
+    np.testing.assert_array_equal(result.n_failed, n_failed)
+    assert result.n_failed[0] > 50
+    np.testing.assert_allclose(result.theta_pl_mean, pl_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.theta_m_mean, m_mean, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(result.censored_fraction, frac_mean)
+
+
+@pytest.mark.parametrize(
+    "scenario", [TINY, STRATIFIED, WIDE], ids=["tiny", "stratified", "wide"]
+)
 def test_sweep_does_not_depend_on_chunk(scenario, monkeypatch):
     # the rows of a chunk share one Newton solve, yet no row reads another
     base = bias_sweep(scenario, TINY_GRID, replicates=100)

@@ -353,6 +353,19 @@ class TestPatientCsvBlocks:
             read_patient_csv(path)
         assert err.value.line == 5
         assert str(err.value).startswith("line 5: field larger than field limit")
+        # the header is record 1
+        path.write_text(f"trial_id,time,event,{huge}\nt1,1.0,1,0.0\n")
+        with pytest.raises(ParseError) as err:
+            read_patient_csv(path)
+        assert err.value.line == 1
+        assert str(err.value).startswith("line 1: field larger than field limit")
+
+    def test_trailing_nul_stays_in_trial_ids(self, tmp_path):
+        path = tmp_path / "nul.csv"
+        path.write_text("trial_id,time,event,z1\nt\x00,1.0,1,0.0\nt\x00,2.0,0,1.0\n")
+        (back,) = read_patient_csv(path)
+        assert back.label == "t\x00"
+        assert list(back.trial_ids) == ["t\x00", "t\x00"]
 
     def test_header_only_file_has_no_trials(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -401,7 +414,9 @@ class TestPatientCsvBlocks:
         order = list(dict.fromkeys(which))
         assert [d.label for d in back] == order
         for d in back:
-            rows = np.flatnonzero(mixed.trial_ids == d.label)
+            # compared in Python: numpy would turn d.label into a numpy
+            # string, which drops trailing NUL characters
+            rows = np.flatnonzero([tid == d.label for tid in mixed.trial_ids])
             assert list(d.trial_ids) == [d.label] * rows.size
             assert d.times.tobytes() == mixed.times[rows].tobytes()
             assert d.events.tobytes() == mixed.events[rows].tobytes()
