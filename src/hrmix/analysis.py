@@ -10,6 +10,7 @@ effect.  Everything here emits plain data (arrays and CSV); no plotting.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +166,8 @@ _SWEEP_CHUNK = 6
 # covariate; larger laws are fitted by running sums over the subjects
 # (fit_cox_rows).  A table sum costs O(m) per event block, a running sum
 # O(1) per subject.  On the sweep of Example-3 sizes the two cost the same
-# near m = 8 with k = 1 and near m = 16 with k = 2; at m = 64, k = 2 the
-# tables took 2.9 times as long.
+# near m = 8 with k = 1 and near m = 16 with k = 2; at m = 256, k = 2 the
+# tables took ten times as long and nearly twice the memory.
 _TABLE_LEVELS_PER_COVARIATE = 8
 
 
@@ -298,9 +299,7 @@ def _sweep_fits(scenario, grid, replicates):
     if len(support) <= _TABLE_LEVELS_PER_COVARIATE * support.shape[1]:
         fit = _CountTables(support, grid).fit
     else:
-
-        def fit(times, levels):
-            return _capped_rows(times, levels, support, grid)
+        fit = functools.partial(_capped_rows, support=support, grid=grid)
 
     for start in range(0, replicates, _SWEEP_CHUNK):
         chunk = slice(start, min(start + _SWEEP_CHUNK, replicates))
