@@ -25,9 +25,6 @@ def main():
     parser.add_argument("--replicates", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=20260808)
     parser.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-    parser.add_argument(
         "--tmax-grid",
         default="1,2,3,4,5,6,7,8,9,10,inf",
         help="comma-separated study-end times; inf = uncensored",
@@ -41,7 +38,7 @@ def main():
         seed=args.seed,
     )
     grid = [math.inf if tok.strip() == "inf" else float(tok) for tok in args.tmax_grid.split(",")]
-    result = bias_sweep(scenario, grid, replicates=args.replicates, threads=args.threads)
+    result = bias_sweep(scenario, grid, replicates=args.replicates)
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

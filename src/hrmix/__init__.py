@@ -19,11 +19,10 @@ from .errors import (
     NonConvergenceError,
     ParseError,
     SchemaError,
-    SingularJacobianError,
     SingularMatrixError,
     SingularVarianceError,
 )
-from .numerics import SolveReport, newton_nd, solve_linear
+from .numerics import SolveReport, solve_linear
 from .data import (
     AdministrativeCensoring,
     CovariateDistribution,

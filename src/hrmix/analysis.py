@@ -201,12 +201,7 @@ def _sorted_latent(scenario, replicates):
     return out
 
 
-def bias_sweep(
-    scenario: ScenarioSpec,
-    t_max_grid,
-    replicates: int,
-    threads: int = 1,
-) -> SweepResult:
+def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResult:
     """Monte Carlo study of censoring bias in the pooled estimates.
 
     Each replicate draws latent (uncensored) datasets once on its own
@@ -229,8 +224,7 @@ def bias_sweep(
     study end in one call).  The binary plug-in is one
     :func:`solve_cpl_binary` call over every cell whose fits succeeded.
     Replicate streams depend only on (seed, replicate) and no row's fit
-    depends on its chunk, so results depend on neither the chunk size nor
-    ``threads``, which is accepted for compatibility and has no effect.
+    depends on its chunk, so results do not depend on the chunk size.
     """
     if len(scenario.trial_effects) != 2:
         raise ValueError("the sweep is defined for two-trial scenarios")

@@ -208,7 +208,7 @@ def _parse_grid(text: str):
 def _cmd_sweep(args) -> int:
     spec = _load_scenario(args)
     grid = _parse_grid(args.tmax_grid)
-    result = analysis.bias_sweep(spec, grid, replicates=args.replicates, threads=args.threads)
+    result = analysis.bias_sweep(spec, grid, replicates=args.replicates)
     analysis.write_sweep_csv(result, args.out)
     _write_manifest(
         args.out,

@@ -38,9 +38,8 @@ __all__ = ["CoxFit", "CoxRows", "BreslowCurve", "fit_cox", "fit_cox_rows", "bres
 # (perfect separation); e^50 exceeds any plausible hazard ratio.
 _DIVERGENCE_BOUND = 50.0
 _MAX_HALVINGS = 25
-# Score tolerance and iteration budget of every fit unless the caller
-# passes its own: the count-table fit uses them too, so that it stops
-# where fit_cox_rows does.
+# Score tolerance and iteration budget of every fit, so that the
+# count-table fit stops where fit_cox_rows does.
 _TOL = 1e-10
 _MAX_ITER = 100
 
@@ -128,12 +127,13 @@ class _BlockSums:
     """Breslow likelihood of R datasets from risk-set sums at event blocks.
 
     A subclass sets ``n_rows``, ``k``, ``n_events`` (R,), ``no_contrast``
-    (R,), ``d`` (the event count of each event block) and ``z_event_sum``
-    (R, k).  Its ``risk_set_sums(beta)`` returns S0, the list of S1_j and
-    the dict of S2_jm (j <= m), the sums of exp(beta' Z) Z^r over the risk
-    set of each event block, plus a work array of the same length; the
-    caller may overwrite all four.  Its ``by_row(values)`` sums a value
-    per event block over each row.  A row's sums never read another row.
+    (R,), ``short_rank`` (R,), ``d`` (the event count of each event block)
+    and ``z_event_sum`` (R, k).  Its ``risk_set_sums(beta)`` returns S0, the
+    list of S1_j and the dict of S2_jm (j <= m), the sums of exp(beta' Z)
+    Z^r over the risk set of each event block, plus a work array of the
+    same length; the caller may overwrite all four.  Its ``by_row(values)``
+    sums a value per event block over each row.  A row's sums never read
+    another row.
     """
 
     def loglik_score_info(self, beta: np.ndarray):
@@ -198,6 +198,13 @@ class _RiskSets(_BlockSums):
     def no_contrast(self) -> np.ndarray:
         return np.all([zj.max(axis=1) == zj.min(axis=1) for zj in self.z], axis=0)
 
+    @property
+    def short_rank(self) -> np.ndarray:
+        # at risk at the earliest event: each row up to its last event block
+        last, n = np.full(self.n_rows, -1), self.z.shape[2]
+        np.maximum.at(last, self.row, self.ends - self.row * n)
+        return _short_rank(np.moveaxis(self.z, 0, 2), np.arange(n) <= last[:, None])
+
     def _by_row(self, values, rows):
         return np.bincount(rows, values, self.n_rows)
 
@@ -255,7 +262,7 @@ class _CountTables(_BlockSums):
     def fit(self, times, levels) -> CoxRows:
         """Fit every latent row of (times, levels) at every study end."""
         self._load(times, levels)
-        return _newton(self, _TOL, _MAX_ITER)
+        return _newton(self)
 
     def _load(self, times: np.ndarray, levels: np.ndarray) -> None:
         R, n = times.shape
@@ -271,7 +278,10 @@ class _CountTables(_BlockSums):
         ).reshape(R, G + 1, m)
         events = np.cumsum(tally[:, :G], axis=1).transpose(1, 0, 2).reshape(G * R, m)
         self.n_events = events.sum(axis=1)
-        self.no_contrast = np.tile(np.count_nonzero(tally.sum(axis=1), axis=1) <= 1, G)
+        present = tally.sum(axis=1) > 0  # all at risk at the earliest event
+        self.no_contrast = np.tile(present.sum(axis=1) <= 1, G)
+        points = np.broadcast_to(self.support, (R, m, self.k))
+        self.short_rank = np.tile(_short_rank(points, present), G)
         self.z_event_sum = np.zeros((self.n_rows, self.k))
         for s in range(m):
             self.z_event_sum += events[:, s, None] * self.support[s]
@@ -335,6 +345,22 @@ class _CountTables(_BlockSums):
         return s0, s1, s2, wz
 
 
+def _short_rank(points: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Rows whose covariates at risk at the earliest event span 0 < rank < k.
+
+    Those of row r are ``points[r, present[r]]``.  Every risk set is a
+    subset of them, so the information of such a row is singular at every
+    beta.  For k = 1 no rank is computed.
+    """
+    R, _, k = points.shape
+    if k == 1:
+        return np.zeros(R, dtype=bool)
+    anchor = points[np.arange(R), present.argmax(axis=1)]
+    spread = np.where(present[..., None], points - anchor[:, None], 0.0)
+    rank = np.linalg.matrix_rank(spread)
+    return (rank > 0) & (rank < k)
+
+
 def _solve_rows(a: np.ndarray, b: np.ndarray):
     """Solve the stacked systems a[i] x[i] = b[i]; flag the singular ones.
 
@@ -355,7 +381,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray):
     return x, singular
 
 
-def _newton(sets: _BlockSums, tol: float, max_iter: int) -> CoxRows:
+def _newton(sets: _BlockSums) -> CoxRows:
     """Safeguarded Newton from beta = 0 on every row of ``sets``."""
     R = sets.n_rows
     k = sets.k
@@ -363,7 +389,8 @@ def _newton(sets: _BlockSums, tol: float, max_iter: int) -> CoxRows:
     n_events = sets.n_events
     failure[n_events == 0] = _NO_EVENTS
     failure[(failure == 0) & sets.no_contrast] = _NO_CONTRAST
-    gtol = np.maximum(tol, 1e-12 * n_events)
+    failure[(failure == 0) & sets.short_rank] = _SINGULAR
+    gtol = np.maximum(_TOL, 1e-12 * n_events)
     floor = 1e-8 * n_events
     beta = np.zeros((R, k))
     iterations = np.zeros(R, dtype=np.int64)
@@ -371,7 +398,7 @@ def _newton(sets: _BlockSums, tol: float, max_iter: int) -> CoxRows:
     active = failure == 0
     with np.errstate(all="ignore"):
         ll, score, info = sets.loglik_score_info(beta)
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             norm = np.abs(score).max(axis=1)
             # converged, or stopped at the float64 cancellation floor: the
             # score no longer improves but sits far inside 1e-8 * n
@@ -434,7 +461,7 @@ def _newton(sets: _BlockSums, tol: float, max_iter: int) -> CoxRows:
     )
 
 
-def fit_cox_rows(times, events, covariates, tol: float = _TOL, max_iter: int = _MAX_ITER) -> CoxRows:
+def fit_cox_rows(times, events, covariates) -> CoxRows:
     """Fit one Cox model per row of a batch of equal-size datasets.
 
     ``times`` and ``events`` are (R, n) and ``covariates`` (R, n, k) with
@@ -458,7 +485,7 @@ def fit_cox_rows(times, events, covariates, tol: float = _TOL, max_iter: int = _
     if not np.all(t[:, 1:] <= t[:, :-1]):
         raise ValueError("each row must be sorted by descending time")
     z = np.ascontiguousarray(np.moveaxis(x, 2, 0))
-    return _newton(_RiskSets(t, d, z), tol, max_iter)
+    return _newton(_RiskSets(t, d, z))
 
 
 def _sorted_row(data: TrialDataset):
@@ -467,7 +494,7 @@ def _sorted_row(data: TrialDataset):
     return data.times[order][None], data.events[order][None], data.covariates[order][None]
 
 
-def fit_cox(data: TrialDataset, tol: float = _TOL, max_iter: int = _MAX_ITER) -> CoxFit:
+def fit_cox(data: TrialDataset) -> CoxFit:
     """Maximize the Cox partial likelihood over the log hazard ratios.
 
     Newton iteration from the zero vector with step-halving (the partial
@@ -489,7 +516,7 @@ def fit_cox(data: TrialDataset, tol: float = _TOL, max_iter: int = _MAX_ITER) ->
     """
     if data.k == 0:
         raise DegenerateDataError("no covariates to fit")
-    rows = fit_cox_rows(*_sorted_row(data), tol=tol, max_iter=max_iter)
+    rows = fit_cox_rows(*_sorted_row(data))
     error = rows.error(0)
     if error is not None:
         raise error

@@ -13,10 +13,6 @@ class SingularMatrixError(HrmixError):
     """A linear system is singular or too ill-conditioned to solve."""
 
 
-class SingularJacobianError(SingularMatrixError):
-    """A Newton iteration met a singular Jacobian."""
-
-
 class DimensionMismatchError(HrmixError):
     """Inputs disagree on covariate dimension or trial count."""
 

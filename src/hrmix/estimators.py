@@ -34,9 +34,10 @@ from .errors import (
     DimensionMismatchError,
     MissingVarianceError,
     NonConvergenceError,
+    SingularMatrixError,
     SingularVarianceError,
 )
-from .numerics import _WG, _WK, _XK, newton_nd, solve_linear
+from .numerics import _WG, _WK, _XK, _newton_min, solve_linear
 
 __all__ = [
     "TrialAggregate",
@@ -62,9 +63,10 @@ __all__ = [
     "wald_test",
 ]
 
-# Residual tolerance for the binary-limit solves, whose residuals are
+# Residual tolerance for the pooled-limit solves, whose residuals are
 # themselves quadrature values: must sit above the quadrature noise floor.
 _ROOT_TOL = 1e-9
+_HM_TOL = 1e-12  # the harmonic-mean score is a finite sum
 
 
 @dataclass(frozen=True)
@@ -479,6 +481,11 @@ def _limit_args(alpha, beta, p, dist):
     return alpha, beta
 
 
+def _check_span(points, k):
+    if np.linalg.matrix_rank(points) < k:
+        raise SingularMatrixError("the covariate law's support spans fewer than k dimensions")
+
+
 def _pl_equation(alpha, beta, p, dist):
     """The general pooled-limit estimating equation on the fixed rule.
 
@@ -492,12 +499,15 @@ def _pl_equation(alpha, beta, p, dist):
     has decayed by e^-_TAIL_CUT.  For the {0, 1} law the residual is
     -(1-q) times the binary one on the same panels.
 
-    Returns ``equation(theta, inputs=False)``: R(theta), dR/dtheta and
-    whether the rule certifies R, then with ``inputs`` dR/dalpha and
-    dR/dbeta, all differentiated under the integral in one pass.
+    R is the gradient of the expected log partial likelihood Phi(theta) =
+    integral_0^inf log(S0) M du - theta'E(Z) (Struthers & Kalbfleisch 1986).
+    Returns ``equation(theta, inputs=False)``: Phi(theta), R(theta),
+    dR/dtheta and whether the rule certifies R, then with ``inputs``
+    dR/dalpha and dR/dbeta, all on the same nodes in one pass.
     """
     if dist.support.shape[0] < 2:
         raise ValueError("the pooled limit needs a covariate law with two or more points")
+    _check_span(dist.support - dist.support[-1], dist.k)
     z, pi = dist.support, dist.probs
     ra, rb = np.exp(z @ alpha), np.exp(z @ beta)
     upper = np.array(_TAIL_CUT / np.minimum(ra[:-1], rb[:-1]).min())
@@ -510,7 +520,7 @@ def _pl_equation(alpha, beta, p, dist):
 
     def equation(theta, inputs=False):
         # a Newton trial step can overflow e^{theta'z}; the non-finite
-        # residual makes Newton halve the step, and the certificate fails
+        # objective makes Newton halve the step, or the certificate fails
         with np.errstate(all="ignore"):
             e = pi * np.exp(zs @ theta)
             w = (ea + eb) * e
@@ -522,7 +532,8 @@ def _pl_equation(alpha, beta, p, dist):
             wm = flat * mass
             g = wm / s0
             jac = (zs * (g @ w)[:, None]).T @ zs - (xbar * wm[:, None]).T @ xbar
-            out = [total - pi @ zs, jac, bool(within.all())]
+            phi = wm @ np.log(s0) - theta @ (pi @ zs)
+            out = [phi, total - pi @ zs, jac, bool(within.all())]
             for ex, rate in ((ea, ra), (eb, rb)) if inputs else ():
                 # alpha moves D_i by -u ra_i z_i p e^{-u ra_i} and M by
                 # pi_i ra_i (1 - u ra_i) z_i p e^{-u ra_i}; beta likewise
@@ -542,11 +553,11 @@ def _pl_root(alpha, beta, p, dist):
     if np.array_equal(alpha, beta):
         return alpha.copy(), equation
     start = p * alpha + (1 - p) * beta
-    theta = newton_nd(lambda t: equation(t)[:2], start, tol=_ROOT_TOL, max_iter=60).root
+    theta = _newton_min(lambda t: equation(t)[:3], start, _ROOT_TOL)
     # Newton converges quadratically, so two more steps take a root with
     # |R| <= _ROOT_TOL down to the rounding floor of R even where R is flat
     for _ in range(2):
-        resid, jac, within = equation(theta)
+        _, resid, jac, within = equation(theta)
         if not within:
             raise NonConvergenceError("the fixed rule cannot certify the pooled-limit root")
         theta = theta - solve_linear(jac, resid)
@@ -556,12 +567,15 @@ def _pl_root(alpha, beta, p, dist):
 def solve_theta_pl_general(alpha, beta, p: float, dist: CovariateDistribution) -> np.ndarray:
     """Limit of the pooled-data MPLE log hazard ratio, general covariates.
 
-    Solves the k-dimensional estimating equation, whose expectations over
-    Z are finite sums against ``dist``, on the fixed composite rule of
-    :func:`solve_cpl_binary` by Newton with the analytic Jacobian from
-    p*alpha + (1-p)*beta; alpha == beta returns alpha exactly.  Uniqueness
-    for k > 1 is not asserted.  A root at which the Kronrod-Gauss error
-    estimate of the integral exceeds max(1e-12, 1e-10 * |integral|) raises
+    The limit minimises the expected log partial likelihood, whose
+    expectations over Z are finite sums against ``dist``, on the fixed
+    composite rule of :func:`solve_cpl_binary`.  It is strictly convex, so
+    the minimiser is unique, wherever the support spans k dimensions; a
+    support that does not raises SingularMatrixError.  Newton with Armijo
+    backtracking runs from p*alpha + (1-p)*beta to a gradient max-norm of
+    1e-9, then takes two more full steps; alpha == beta returns alpha
+    exactly.  A root at which the Kronrod-Gauss error estimate of the
+    integral exceeds max(1e-12, 1e-10 * |integral|) raises
     NonConvergenceError.
     """
     return _pl_root(alpha, beta, p, dist)[0]
@@ -587,7 +601,7 @@ def theta_pl_sensitivity(alpha, beta, p: float, dist: CovariateDistribution):
     the residual R.  At alpha = beta symmetry forces J_alpha + J_beta = I.
     """
     theta, equation = _pl_root(alpha, beta, p, dist)
-    _, jac, _, d_alpha, d_beta = equation(theta, inputs=True)
+    _, _, jac, _, d_alpha, d_beta = equation(theta, inputs=True)
     return _ift_sensitivities(jac, d_alpha, d_beta)
 
 
@@ -603,7 +617,7 @@ def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     """
     first, second, p = _two_trials(aggregates, dist, "plug-in estimate")
     theta, equation = _pl_root(first.beta_hat, second.beta_hat, p, dist)
-    _, jac, _, d_a, d_b = equation(theta, inputs=True)
+    _, _, jac, _, d_a, d_b = equation(theta, inputs=True)
     cov = _sandwich(jac, d_a, d_b, first.covariance, second.covariance)
     return CombinedEffect(CombineMethod.MISSPECIFIED, theta, cov, p)
 
@@ -623,34 +637,34 @@ def c_hm_binary(a: float, b: float, p: float) -> float:
 
 
 def _hm_equation(theta, alpha, beta, p, dist):
-    """Working-model score residual R(theta), dR/dtheta, dR/dalpha, dR/dbeta."""
+    """Minus ``analysis.kl_objective``, its gradient R(theta), dR/dtheta, dR/dalpha, dR/dbeta."""
     z = dist.support
     et = dist.probs * np.exp(z @ theta)
     wa = et * p * np.exp(-z @ alpha)
     wb = et * (1 - p) * np.exp(-z @ beta)
     d_a = (z * wa[:, None]).T @ z
     d_b = (z * wb[:, None]).T @ z
-    return (wa + wb) @ z - dist.mean, d_a + d_b, -d_a, -d_b
+    value = (wa + wb).sum() - theta @ dist.mean
+    return value, (wa + wb) @ z - dist.mean, d_a + d_b, -d_a, -d_b
 
 
-def solve_theta_hm_general(
-    alpha, beta, p: float, dist: CovariateDistribution, tol: float = 1e-12
-) -> np.ndarray:
+def solve_theta_hm_general(alpha, beta, p: float, dist: CovariateDistribution) -> np.ndarray:
     """Harmonic-mean combined log hazard ratio, general covariates.
 
     Solves E(Z) = E[e^{theta'Z} Z (p e^{-alpha'Z} + (1-p) e^{-beta'Z})],
     the score equation of an exponential working model fitted to the
     two-trial mixture; for a binary arm indicator the solution reduces to
     the log of the size-weighted harmonic mean, independent of the arm
-    probability.
+    probability.  The score is the gradient of minus ``kl_objective``,
+    strictly convex wherever the support spans k dimensions, so the
+    solution is its unique minimiser; a support that does not raises
+    SingularMatrixError.  Newton with Armijo backtracking runs from
+    p*alpha + (1-p)*beta to a score max-norm of 1e-12.
     """
     alpha, beta = _limit_args(alpha, beta, p, dist)
-
-    def residual(theta):
-        return _hm_equation(theta, alpha, beta, p, dist)[:2]
-
-    report = newton_nd(residual, p * alpha + (1 - p) * beta, tol=tol, max_iter=60)
-    return report.root
+    _check_span(dist.support, dist.k)
+    start = p * alpha + (1 - p) * beta
+    return _newton_min(lambda t: _hm_equation(t, alpha, beta, p, dist)[:3], start, _HM_TOL)
 
 
 def var_theta_hm_binary(
@@ -689,7 +703,7 @@ def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect
     """Harmonic-mean combined effect with delta-method covariance."""
     first, second, p = _two_trials(aggregates, dist, "harmonic-mean pipeline")
     theta = solve_theta_hm_general(first.beta_hat, second.beta_hat, p, dist)
-    _, jac, d_a, d_b = _hm_equation(theta, first.beta_hat, second.beta_hat, p, dist)
+    _, _, jac, d_a, d_b = _hm_equation(theta, first.beta_hat, second.beta_hat, p, dist)
     cov = _sandwich(jac, d_a, d_b, first.covariance, second.covariance)
     return CombinedEffect(CombineMethod.HARMONIC_MEAN, theta, cov, p)
 

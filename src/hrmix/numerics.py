@@ -1,11 +1,12 @@
 """Shared numerical kernels.
 
 The nodes and weights of the Gauss-Kronrod 7-15 rule that the pooled
-limits' fixed composite quadrature is built on, a damped multivariate
-Newton iteration on caller-supplied Jacobians, and small dense linear
-solves.  Every routine
-is a pure function of its inputs and keeps no module state, so results
-never depend on call order.
+limits' fixed composite quadrature is built on, the Newton minimiser with
+Armijo backtracking that finds the general pooled and harmonic-mean
+limits (each the minimiser of a convex function whose gradient is the
+estimating equation), and small dense linear solves.  Every routine is a
+pure function of its inputs and keeps no module state, so results never
+depend on call order.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError, SingularJacobianError, SingularMatrixError
+from .errors import NonConvergenceError, SingularMatrixError
 
-__all__ = ["SolveReport", "newton_nd", "solve_linear"]
+__all__ = ["SolveReport", "solve_linear"]
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class SolveReport:
     """Outcome of an iterative solve.
 
     ``converged`` implies ``residual_norm`` is at or below the tolerance
-    the caller declared.
+    of the solver that made it.
     """
 
     root: np.ndarray
@@ -86,55 +87,47 @@ _WG = np.array(
     ]
 )
 
-def newton_nd(
-    F: Callable,
-    x0,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> SolveReport:
-    """Solve the square system F(x) = 0 by damped Newton iteration.
 
-    ``F(x)`` returns the residual and the Jacobian as arrays of shapes
-    (n,) and (n, n), column j of the Jacobian holding the derivatives
-    with respect to x_j.  When a full Newton step fails to reduce the
-    max-norm of the residual, the step is halved (up to 20 times) before
-    the iteration is declared stalled.  On a linear system convergence
-    takes one iteration.
+def _newton_min(objective: Callable, x0, tol: float) -> np.ndarray:
+    """Minimise a strictly convex function by Newton with Armijo backtracking.
+
+    ``objective(x)`` returns the value, the gradient (n,) and the Hessian
+    (n, n).  A step is halved, up to 40 times, until the value falls by
+    1e-4 of the decrease the gradient predicts (Nocedal & Wright 2006,
+    ch. 3), or, since near the minimum that decrease is below the value's
+    rounding, until the gradient's max-norm falls with the value within
+    1e-13 * (1 + |value|).  Returns once that max-norm is at most ``tol``;
+    a non-finite start, a failed line search or 60 steps raise
+    NonConvergenceError.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx, jac = F(x)
-    if fx.shape != x.shape or jac.shape != (x.size, x.size):
-        raise ValueError(f"F must return shapes ({x.size},) and ({x.size}, {x.size})")
-    if not np.all(np.isfinite(fx)):
-        raise NonConvergenceError("residual non-finite at the starting point")
-    norm = float(np.max(np.abs(fx)))
-    for it in range(max_iter):
-        if norm <= tol:
-            return SolveReport(x, norm, it, True)
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Jacobian at iterate {x.tolist()}"
-            ) from exc
-        damp = 1.0
-        accepted = False
-        for _ in range(20):
-            x_new = x + damp * step
-            f_new, jac_new = F(x_new)
-            norm_new = float(np.max(np.abs(f_new))) if np.all(np.isfinite(f_new)) else np.inf
-            if norm_new < norm:
-                x, fx, jac, norm = x_new, f_new, jac_new, norm_new
-                accepted = True
-                break
-            damp *= 0.5
-        if not accepted:
-            break
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    # a step that overflows the objective is rejected like any other
+    with np.errstate(all="ignore"):
+        value, grad, hess = objective(x)
+        norm = np.max(np.abs(grad))
+        if not np.isfinite(value + norm):
+            raise NonConvergenceError("objective non-finite at the starting point")
+        for _ in range(60):
+            if norm <= tol:
+                return x
+            step = solve_linear(hess, -grad)
+            drop, flat = 1e-4 * (grad @ step), 1e-13 * (1 + abs(value))
+            for halving in range(40):
+                damp = 0.5**halving
+                moved = x + damp * step
+                trial = objective(moved)
+                t_norm = np.max(np.abs(trial[1]))
+                if np.isfinite(trial[0] + t_norm) and (
+                    trial[0] <= value + damp * drop
+                    or (t_norm < norm and abs(trial[0] - value) <= flat)
+                ):
+                    break
+            else:
+                raise NonConvergenceError(f"line search failed at gradient norm {norm:.3e}")
+            x, (value, grad, hess), norm = moved, trial, t_norm
     if norm <= tol:
-        return SolveReport(x, norm, max_iter, True)
-    raise NonConvergenceError(
-        f"Newton residual {norm:.3e} above tolerance {tol:.1e} after {max_iter} iterations"
-    )
+        return x
+    raise NonConvergenceError(f"gradient norm {norm:.3e} above {tol:.1e} after 60 Newton steps")
 
 
 def solve_linear(A, rhs) -> np.ndarray:

@@ -96,14 +96,6 @@ class TestBiasSweep:
         assert np.all(np.diff(small_sweep.theta_pl_mean) < 0)
         assert np.all(small_sweep.theta_pl_mean[:-1] > small_sweep.theta_pl_mean[-1])
 
-    def test_thread_count_invariance(self, example3_scenario, small_sweep):
-        threaded = bias_sweep(
-            example3_scenario, [1.0, 2.0, 4.0, math.inf], replicates=100, threads=3
-        )
-        np.testing.assert_array_equal(threaded.theta_pl_mean, small_sweep.theta_pl_mean)
-        np.testing.assert_array_equal(threaded.theta_m_mean, small_sweep.theta_m_mean)
-        np.testing.assert_array_equal(threaded.censored_fraction, small_sweep.censored_fraction)
-
     def test_study_end_where_every_replicate_fails(self, example3_scenario):
         # tiny trials: every fit fails at t_max = 0.01, about half survive
         # without censoring

@@ -197,6 +197,15 @@ def general_agrees_with_binary(la, lb, p, q):
     assert abs(theta[0] - math.log(c)) <= tol
 
 
+def boundary_cells(seed, n):
+    """(log a, log b, p, q): log-HRs on [-10, 10], shares near 0 or 1 2/3 of the time."""
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(-10.0, 10.0, (n, 2))
+    near = [rng.uniform(0.001, 0.05, (n, 2)), rng.uniform(0.95, 0.999, (n, 2))]
+    shares = np.choose(rng.integers(0, 3, (n, 2)), [*near, rng.uniform(0.001, 0.999, (n, 2))])
+    return np.hstack([logs, shares]).tolist()
+
+
 class TestGeneralAgreesWithBinary:
     @given(la=log_hr, lb=log_hr, p=share, q=share)
     @settings(max_examples=60, deadline=None)
@@ -210,6 +219,22 @@ class TestGeneralAgreesWithBinary:
             general_agrees_with_binary(la, lb, p, q)
         except HrmixError:
             pass
+
+    @pytest.mark.parametrize(
+        "la,lb,p,q", [(10.0, -10.0, 0.99, 0.44), (-10.0, 10.0, 0.055, 0.49)]
+    )
+    def test_flat_start_regressions(self, la, lb, p, q):
+        # Newton damped on the max-norm of the residual, flat at the start,
+        # stalled here; backtracking on the expected log PL does not
+        theta = solve_theta_pl_general([la], [lb], p, CovariateDistribution.bernoulli(q))
+        c = solve_cpl_binary(math.exp(la), math.exp(lb), p, q)
+        assert theta[0] == pytest.approx(math.log(c), abs=1e-10)
+
+    def test_boundary_biased_cells(self):
+        for la, lb, p, q in boundary_cells(3, 300):
+            theta = solve_theta_pl_general([la], [lb], p, CovariateDistribution.bernoulli(q))
+            c = solve_cpl_binary(math.exp(la), math.exp(lb), p, q)
+            assert abs(theta[0] - math.log(c)) <= 1e-8, (la, lb, p, q)
 
     def test_wide_spread_regression(self):
         # the finite-difference Jacobian of the adaptive residual was

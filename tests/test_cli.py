@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,3 +270,18 @@ class TestBreslowCommand:
         assert series == {"analytic", "empirical"}
         manifest = json.loads((tmp_path / "breslow.csv.manifest.json").read_text())
         assert manifest["config"]["c_star"] == pytest.approx(0.685, abs=0.01)
+
+
+def test_censoring_bias_script_writes_csv(tmp_path):
+    # the reproduction scripts are run by no other test
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "reproduce_censoring_bias.py"
+    args = ["--replicates", "100", "--tmax-grid", "1,inf", "--out-dir", str(tmp_path)]
+    subprocess.run(
+        [sys.executable, str(script), *args],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        check=True,
+    )
+    with open(tmp_path / "censoring_bias_sweep.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2

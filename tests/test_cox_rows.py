@@ -24,7 +24,7 @@ from hrmix import (
     solve_theta_pl_general,
 )
 from hrmix import analysis
-from hrmix.cox import _CountTables
+from hrmix.cox import _SINGULAR, _CountTables
 
 from conftest import naive_log_partial_likelihood, reference_fit_cox
 
@@ -100,6 +100,15 @@ def test_row_alone_equals_row_in_chunk(k):
         np.testing.assert_array_equal(part.failure, whole.failure[start:stop])
 
 
+def test_contrast_only_before_the_first_event_is_singular():
+    # z is on the line z2 = 0.3 z1 + 0.1 but for a subject censored first
+    times = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]])
+    events = np.array([[1, 0, 1, 1, 0]])
+    z = np.array([[[0.0, 0.1], [1.0, 0.4], [2.0, 0.7], [0.0, 0.1], [3.0, 0.0]]])
+    rows = fit_cox_rows(times, events, z)
+    assert rows.failure[0] == _SINGULAR and rows.iterations[0] == 0
+
+
 def test_tied_two_covariates_against_naive_likelihood():
     times = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 5.0])
     events = np.array([1, 1, 1, 0, 1, 1, 1, 0, 1, 1])
@@ -159,23 +168,25 @@ def test_count_tables_match_fit_cox_rows(k, m):
     tables = _CountTables(support, STUDY_ENDS).fit(times, levels)
     R = len(times)
     # the information is singular for every beta when the covariates of a
-    # row lie on fewer than k dimensions; which failure check fires first
-    # then turns on rounding, in either fit
-    full = np.array([_affine_rank(support[np.unique(row)]) == k for row in levels])
+    # row span more than none but fewer than k dimensions; both fits say
+    # so before Newton
+    rank = np.array([_affine_rank(support[np.unique(row)]) for row in levels])
+    short = (0 < rank) & (rank < k)
     codes = set()
     for g, t_max in enumerate(STUDY_ENDS):
         rows = fit_cox_rows(np.minimum(times, t_max), times <= t_max, support[levels])
         mine = slice(g * R, (g + 1) * R)
         np.testing.assert_array_equal(tables.n_events[mine], rows.n_events)
-        np.testing.assert_array_equal(tables.failure[mine][full], rows.failure[full])
-        np.testing.assert_array_equal(tables.iterations[mine][full], rows.iterations[full])
-        ok = rows.ok & full
-        np.testing.assert_allclose(tables.beta_hat[mine][ok], rows.beta_hat[ok], rtol=0, atol=1e-12)
-        for r in np.flatnonzero(~full):
-            assert rows.failure[r] != 0 and tables.failure[g * R + r] != 0
-            assert type(tables.error(g * R + r)) is type(rows.error(r))
+        np.testing.assert_array_equal(tables.failure[mine], rows.failure)
+        np.testing.assert_array_equal(tables.iterations[mine], rows.iterations)
+        np.testing.assert_allclose(
+            tables.beta_hat[mine][rows.ok], rows.beta_hat[rows.ok], rtol=0, atol=1e-12
+        )
+        assert np.all(rows.failure[short & (rows.n_events > 0)] == _SINGULAR)
         codes |= set(rows.failure.tolist())
-    assert full.any() == (m > k) and {1, 2} < codes and len(codes) >= 4
+    assert (rank == k).any() == (m > k) and (short.any() or m > k)
+    # with m <= k only the checks before Newton can fire
+    assert {1, 2} < codes and len(codes) >= (3 if m <= k else 4)
 
 
 @pytest.mark.parametrize(

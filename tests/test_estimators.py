@@ -15,6 +15,7 @@ from hrmix import (
     InverseVariance,
     MissingVarianceError,
     ScenarioSpec,
+    SingularMatrixError,
     SingularVarianceError,
     SizeProportional,
     TrialAggregate,
@@ -171,6 +172,29 @@ class TestSolveCplBinary:
         c1 = solve_cpl_binary(0.3, 0.8, 0.7, 0.2)
         c2 = solve_cpl_binary(0.3, 0.8, 0.7, 0.8)
         assert abs(c1 - c2) > 1e-4
+
+
+def test_random_k2_laws():
+    # Newton damped on the residual's max-norm stalled on four pooled limits
+    rng = np.random.default_rng(0)
+    for m in rng.integers(3, 7, 150):
+        support, probs = rng.uniform(-2, 2, (m, 2)), rng.dirichlet(np.ones(m))
+        dist = CovariateDistribution(support=support, probs=probs)
+        alpha, beta, p = rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2), rng.uniform(0.05, 0.95)
+        assert np.all(np.isfinite(solve_theta_pl_general(alpha, beta, p, dist)))
+        theta = solve_theta_hm_general(alpha, beta, p, dist)
+        mix = p * np.exp(-support @ alpha) + (1 - p) * np.exp(-support @ beta)
+        score = (probs * np.exp(support @ theta) * mix) @ support - probs @ support
+        assert np.max(np.abs(score)) <= 1e-10
+
+
+def test_support_spanning_fewer_than_k_dimensions_rejected():
+    # unique only where the support spans k dimensions; rounding keeps the Hessian regular
+    points = [[0.3, 0.7], [0.6, 1.4], [0.9, 2.1]]
+    line = CovariateDistribution(support=points, probs=[0.2, 0.3, 0.5])
+    for solve in (solve_theta_pl_general, solve_theta_hm_general):
+        with pytest.raises(SingularMatrixError):
+            solve(K2_ALPHA, K2_BETA, 0.6, line)
 
 
 class TestSolveThetaPlGeneral:
