@@ -5,13 +5,21 @@ share across threads.  Simulation streams are counter-based (Philox keyed
 by ``(master_seed, replicate)``), so replicate r always sees the same
 stream no matter how many workers run or in what order they are
 scheduled.
+
+Patient-line CSV files are read a block of lines at a time by two
+readers that give the same datasets and the same errors: numpy's C reader
+(``np.loadtxt``) parses blocks of plain ASCII lines without quotes, and
+the csv module reads the header, quoted records, other blocks, and every
+record an error report must name.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -470,6 +478,42 @@ def write_patient_csv(datasets: Sequence[TrialDataset], path) -> None:
 # Records converted and checked together.  Python row lists cost far more
 # memory than the finished columns, so only one block of them is held at a time.
 _BLOCK_ROWS = 4096
+# Lines that hold no record: csv.reader reads each as an empty row.
+_BLANK_LINES = ("\n", "\r\n", "\r")
+# ASCII separators that numpy's number parsers skip as whitespace and
+# float and int do not
+_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+@functools.cache
+def _loadtxt_rejects_float_events() -> bool:
+    """Whether ``np.loadtxt`` refuses ``0.5`` for an int64 field, as ``int`` does.
+
+    Older numpy parses such a field through float and truncates it, with a
+    DeprecationWarning.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["0.5"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+def _loadtxt_agrees(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads every field of ``text`` as float and int do, or rejects it.
+
+    That holds for ASCII text without the separators \\x1c-\\x1f, on a
+    numpy that rejects float text in int fields.  Outside ASCII, numpy
+    2.4's integer parser can read out of bounds on a field that starts
+    with a character such as U+E0001, and crash the process.
+    """
+    return (
+        text.isascii()
+        and not any(map(text.__contains__, _NUMPY_ONLY_SPACES))
+        and _loadtxt_rejects_float_events()
+    )
 
 
 def _raise_bad_record(block: list, lineno: int, k: int) -> None:
@@ -498,8 +542,17 @@ def _raise_bad_record(block: list, lineno: int, k: int) -> None:
             raise ParseError("covariates must be finite", line=lineno)
 
 
+def _columns_ok(times, events, cov) -> bool:
+    return bool(
+        np.isfinite(times).all()
+        and (times >= 0).all()
+        and ((events == 0) | (events == 1)).all()
+        and np.isfinite(cov).all()
+    )
+
+
 def _block_columns(block: list, lineno: int, k: int):
-    """Convert and check one block of records as whole columns.
+    """Convert and check one block of csv records as whole columns.
 
     Returns (trial ids, times, events, covariates) for the block's nonblank
     records.  A block that fails a check is read again record by record to
@@ -522,15 +575,70 @@ def _block_columns(block: list, lineno: int, k: int):
         except (ValueError, OverflowError):
             pass
         else:
-            if (
-                np.isfinite(times).all()
-                and (times >= 0).all()
-                and ((events == 0) | (events == 1)).all()
-                and np.isfinite(cov).all()
-            ):
+            if _columns_ok(times, events, cov):
                 return ids, times, events, cov
     _raise_bad_record(block, lineno, k)
     raise AssertionError("a block failed a check that none of its records fails")
+
+
+def _line_columns(lines: list, text: str, lineno: int, k: int):
+    """Convert and check a block of unquoted lines, as :func:`_block_columns` does.
+
+    ``text`` is the block's lines joined.  Where :func:`_loadtxt_agrees`,
+    numpy's C reader parses the block in one call.  Where it does not, or
+    numpy rejects the block, skips a line csv.reader would read, or yields
+    a value that fails a check, the block goes to :func:`_block_columns`.
+    That raises the exact error, or accepts what Python accepts and numpy
+    does not, such as ``1_0.5``.
+    """
+    n = len(lines) - sum(map(lines.count, _BLANK_LINES))
+    if n and _loadtxt_agrees(text):
+        dtype = [("id", object), ("t", float), ("e", np.int64), ("z", float, (k,))]
+        try:
+            rec = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        except ValueError:
+            rec = None
+        if rec is not None and rec.size == n:
+            # copies, so that the block's trial-id strings are freed with it
+            times, events, cov = (np.ascontiguousarray(rec[f]) for f in ("t", "e", "z"))
+            if _columns_ok(times, events, cov):
+                return rec["id"], times, events, cov
+    return _block_columns(list(csv.reader(lines)), lineno, k)
+
+
+def _record_blocks(fh, k: int):
+    """Columns of each block of records in ``fh``, which is past the header.
+
+    Blocks of raw lines go to :func:`_line_columns` until one holds a quote,
+    which may open a field spanning lines, or a line longer than
+    ``csv.field_size_limit()``.  That block and the rest of the file go
+    through csv.reader, which raises its own error on an oversized field.
+    No quote is open at a block boundary, so record numbers carry on.
+    """
+    lineno = 2
+    limit = csv.field_size_limit()
+    while True:
+        lines = list(itertools.islice(fh, _BLOCK_ROWS))
+        if not lines:
+            return
+        text = "".join(lines)
+        if '"' in text or max(map(len, lines)) > limit:
+            break
+        yield _line_columns(lines, text, lineno, k)
+        lineno += len(lines)
+    reader = csv.reader(itertools.chain(lines, fh))
+    while True:
+        block: list = []
+        try:
+            block.extend(itertools.islice(reader, _BLOCK_ROWS))
+        except csv.Error as exc:
+            # a bad record read before the csv error is reported first
+            _block_columns(block, lineno, k)
+            raise ParseError(str(exc), line=lineno + len(block)) from None
+        if not block:
+            return
+        yield _block_columns(block, lineno, k)
+        lineno += len(block)
 
 
 def read_patient_csv(path) -> list[TrialDataset]:
@@ -552,12 +660,18 @@ def read_patient_csv(path) -> list[TrialDataset]:
       ``line`` is the CSV record number: the header is record 1, blank
       records count, and a quoted line break does not start a new record.
 
-    Records are converted and checked a block at a time, column by column.
+    Two readers share the work and give the same datasets and errors.
+    Records are read a block of lines at a time.  numpy's C reader
+    (``np.loadtxt``) parses a block of plain ASCII lines without quotes,
+    and the block is checked column by column.  The csv module reads the
+    header; every block from the first one holding a quote or an
+    over-long line to the end of the file; a block with other characters;
+    and a block numpy rejects or that fails a check, record by record
+    where it must name the bad one.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError("empty file", missing=["trial_id", "time", "event"]) from None
         except csv.Error as exc:
@@ -573,23 +687,11 @@ def read_patient_csv(path) -> list[TrialDataset]:
             )
         codes: dict[str, int] = {}
         parts = []
-        lineno = 2
-        while True:
-            block: list = []
-            try:
-                block.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except csv.Error as exc:
-                # a bad record read before the csv error is reported first
-                _block_columns(block, lineno, k)
-                raise ParseError(str(exc), line=lineno + len(block)) from None
-            if not block:
-                break
-            ids, times, events, cov = _block_columns(block, lineno, k)
+        for ids, times, events, cov in _record_blocks(fh, k):
             for tid in dict.fromkeys(ids):
                 codes.setdefault(tid, len(codes))
             code = np.fromiter(map(codes.__getitem__, ids), np.intp, count=len(ids))
             parts.append((code, times, events, cov))
-            lineno += len(block)
     if not codes:
         return []
     code, times, events, cov = (np.concatenate(col) for col in zip(*parts))

@@ -199,7 +199,9 @@ def reference_read_patient_csv(path) -> list[TrialDataset]:
                 times=np.array([r[0] for r in rows]),
                 events=np.array([r[1] for r in rows]),
                 covariates=np.array([r[2] for r in rows], dtype=float).reshape(len(rows), k),
-                trial_ids=np.full(len(rows), tid, dtype=object),
+                # np.full would pass tid through a numpy string, which drops
+                # trailing NUL characters
+                trial_ids=np.array([tid] * len(rows), dtype=object),
                 label=tid,
             )
         )

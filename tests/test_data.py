@@ -1,6 +1,9 @@
 import csv
 import functools
+import io
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -241,9 +244,9 @@ _BAD_COVARIATES = ["nan", "1e400", "-inf", "z", ""]
 _TRIAL_IDS = ["t1", "t2", "a,b", 'say "hi"', "line\nbreak", "", "é"]
 
 
-def _records(k, times, events, covariates):
+def _records(k, times, events, covariates, ids=_TRIAL_IDS):
     return st.tuples(
-        st.sampled_from(_TRIAL_IDS),
+        st.sampled_from(ids),
         st.sampled_from(times),
         st.sampled_from(events),
         st.lists(st.sampled_from(covariates), min_size=k, max_size=k),
@@ -422,6 +425,217 @@ class TestPatientCsvBlocks:
             assert d.events.tobytes() == mixed.events[rows].tobytes()
             assert d.covariates.tobytes() == mixed.covariates[rows].tobytes()
 
+
+
+# Trial ids that need no quoting, with characters the C reader might mishandle:
+# control characters, Unicode line-break-like ones and a comment marker.
+_PLAIN_IDS = [
+    "t1", "t2", "", " ", " t 1 ", "#", "#t", "t\x00", "\x00", "\x0c", "\x85", "\u2028", "é"
+]
+# lines csv.reader reads as one field, so a bad record
+_WHITESPACE_LINES = [" ", "\t", "\x0c", "\x85 "]
+# field texts numpy's parsers read differently from float and int, or crash on:
+# separators numpy skips as whitespace, a character its integer parser reads
+# past its tables on, non-ASCII digits and a NUL
+_NUMPY_ODD_TEXTS = ["1\x1c", "\x1f0", "\U000e00010", "٣", "1\x00"]
+
+
+@st.composite
+def _unquoted_files(draw):
+    """(k, text) of an unquoted patient-line file with mixed line endings.
+
+    Records draw every field text, good or bad, and some have a field too
+    few or too many; blank and whitespace-only lines are mixed in.
+    """
+    k = draw(st.integers(0, 3))
+    good = _records(k, _GOOD_TIMES, _GOOD_EVENTS, _GOOD_COVARIATES, ids=_PLAIN_IDS)
+    any_field = _records(
+        k,
+        _GOOD_TIMES + _BAD_TIMES + _NUMPY_ODD_TEXTS,
+        _GOOD_EVENTS + _BAD_EVENTS + _NUMPY_ODD_TEXTS,
+        _GOOD_COVARIATES + _BAD_COVARIATES + _NUMPY_ODD_TEXTS,
+        ids=_PLAIN_IDS,
+    )
+    odd = st.one_of(
+        any_field, any_field.map(lambda r: r[:-1]), any_field.map(lambda r: r + ["1.0"])
+    )
+    lines = [",".join(r) for r in draw(st.lists(good, max_size=30))]
+    for extra in (st.just(""), st.sampled_from(_WHITESPACE_LINES), odd.map(",".join)):
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(extra))
+    header = ",".join(["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)])
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in [header, *lines])
+    if draw(st.booleans()):
+        # no line break after the last line
+        text = text.rstrip("\r\n")
+    return k, text
+
+
+def _plain_file(path, k, n, ending="\n"):
+    """n good unquoted records, as write_patient_csv would write them but with any line ending."""
+    rows = [
+        f"t{i % 3},{i * 0.25!r},{i % 2}" + "".join(f",{j - i * 0.5!r}" for j in range(k))
+        for i in range(n)
+    ]
+    header = ",".join(["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)])
+    path.write_bytes("".join(line + ending for line in [header, *rows]).encode())
+
+
+def _counted_loadtxt():
+    """Patch ``np.loadtxt`` with a mock that counts the reader's calls and passes them on."""
+    return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
+
+
+@pytest.fixture
+def loadtxt_calls():
+    with _counted_loadtxt() as spy:
+        yield spy
+
+
+@pytest.mark.skipif(
+    not data_module._loadtxt_rejects_float_events(),
+    reason="this numpy parses int fields through float, so every block goes through csv",
+)
+class TestPatientCsvFastPath:
+    """Unquoted blocks through np.loadtxt, against the row-by-row reference reader."""
+
+    @given(file=_unquoted_files(), block=st.sampled_from([1, 2, 3, 5, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_reader(self, tmp_path_factory, file, block):
+        k, text = file
+        path = tmp_path_factory.mktemp("csv") / "lines.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(data_module, "_BLOCK_ROWS", block), _counted_loadtxt() as loadtxt:
+            got = _outcome(read_patient_csv, path)
+        assert got == _outcome(reference_read_patient_csv, path)
+        # numpy reads a block of plain ASCII lines with a record in it
+        first_block = "".join(io.StringIO(text, newline="").readlines()[1 : 1 + block])
+        plain = first_block.isascii() and not re.search("[\x1c-\x1f]", first_block)
+        if plain and first_block.strip("\r\n"):
+            assert loadtxt.called
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_good_blocks_take_only_the_fast_path(
+        self, loadtxt_calls, tmp_path, monkeypatch, k, ending
+    ):
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", 4)
+        csv_blocks = mock.Mock(wraps=data_module._block_columns)
+        monkeypatch.setattr(data_module, "_block_columns", csv_blocks)
+        path = tmp_path / "lines.csv"
+        _plain_file(path, k, 10, ending)
+        assert _outcome(read_patient_csv, path) == _outcome(reference_read_patient_csv, path)
+        assert loadtxt_calls.call_count == 3
+        assert not csv_blocks.called
+
+    def test_simulated_file_takes_only_the_fast_path(
+        self, loadtxt_calls, tmp_path, monkeypatch, example3_scenario
+    ):
+        # write_patient_csv ends its lines with \r\n
+        csv_blocks = mock.Mock(wraps=data_module._block_columns)
+        monkeypatch.setattr(data_module, "_block_columns", csv_blocks)
+        trials = simulate_scenario(example3_scenario, replicate=0)
+        path = tmp_path / "lines.csv"
+        write_patient_csv(trials, path)
+        assert b"\r\n" in path.read_bytes()
+        assert read_patient_csv(path) == trials
+        assert loadtxt_calls.call_count == 1
+        assert not csv_blocks.called
+
+    # the bad record is record 8 either way: a quoted line break starts no record
+    @pytest.mark.parametrize("later", ['"a\nb",1.0,1,0.0', '"a,b",1.0,1,0.0'])
+    def test_quote_in_a_later_block_hands_over_to_csv(
+        self, loadtxt_calls, tmp_path, monkeypatch, later
+    ):
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", 3)
+        head = "trial_id,time,event,z1\nt1,1.0,1,0.0\n\nt2,2.0,0,1.0\n"
+        path = tmp_path / "lines.csv"
+        path.write_text(head + f"t1,3.0,0,0.5\n{later}\nt3,0.5,1,1.0\nt1,-1.0,1,0.0\n", newline="")
+        outcome = _outcome(read_patient_csv, path)
+        assert outcome == _outcome(reference_read_patient_csv, path)
+        assert outcome[:1] == (ParseError,) and outcome[2] == 8
+        assert loadtxt_calls.call_count == 1
+        path.write_text(head + f"t1,3.0,0,0.5\n{later}\nt3,0.5,1,1.0\n", newline="")
+        back = read_patient_csv(path)
+        assert back == reference_read_patient_csv(path)
+        assert [d.label for d in back] == ["t1", "t2", later.split('",')[0][1:], "t3"]
+
+    def test_oversized_field_in_a_later_block(self, loadtxt_calls, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", 2)
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "bad.csv"
+        path.write_text(f"trial_id,time,event,z1\nt1,1.0,1,0.0\n\nt1,2.0,0,1.0\n{huge},1.0,1,0.0\n")
+        with pytest.raises(ParseError) as err:
+            read_patient_csv(path)
+        assert err.value.line == 5
+        assert str(err.value).startswith("line 5: field larger than field limit")
+        assert loadtxt_calls.call_count == 1
+        # a bad record before it, in the same block, is reported first
+        records = f"t1,1.0,1,0.0\nt1,2.0,0,1.0\nt1,-1.0,1,0.0\n{huge},1.0,1,0.0\n"
+        path.write_text("trial_id,time,event,z1\n" + records)
+        with pytest.raises(ParseError) as err:
+            read_patient_csv(path)
+        assert err.value.line == 4
+
+    def test_blank_block_raises_no_warning(self, loadtxt_calls, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", 3)
+        path = tmp_path / "lines.csv"
+        path.write_bytes(b"trial_id,time,event,z1\r\n\n\r\n\rt1,1.0,1,0.0\r\n\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (back,) = read_patient_csv(path)
+        assert back == reference_read_patient_csv(path)[0]
+        assert loadtxt_calls.call_count == 1
+
+    @pytest.mark.parametrize(
+        "record, line",
+        [
+            # accepted by Python and not by numpy: underscores
+            ("t1,1_0.5,1,3_0", None),
+            ("t1,1.0,1_0,0.0", "line 3: event must be 0 or 1, got 1_0"),
+            ("t1,1e400,1,0.0", "line 3: time must be finite and nonnegative, got 1e400"),
+            ("t1,1.0,1,nan", "line 3: covariates must be finite"),
+            ("t1,1.0,1.0,0.0", "line 3: invalid literal for int() with base 10: '1.0'"),
+            (" ", "line 3: expected 4 fields, got 1"),
+        ],
+    )
+    def test_numpy_rejections_get_python_rules(self, loadtxt_calls, tmp_path, record, line):
+        path = tmp_path / "lines.csv"
+        path.write_text(f"trial_id,time,event,z1\nt2,2.0,0,1.0\n{record}\n")
+        outcome = _outcome(read_patient_csv, path)
+        assert outcome == _outcome(reference_read_patient_csv, path)
+        assert loadtxt_calls.call_count == 1
+        if line is None:
+            assert [label for label, *_ in outcome] == ["t2", "t1"]
+        else:
+            assert outcome[1] == line
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "t1,1.0,\U000e00010,0.0",
+            "t1,1.0\x1c,1,0.0",
+            "t1,1.0,1,\x1f2.0",
+            "é,1.0,1,0.0",
+            "t1,1.5,١,٣",
+            "t1,1.0,1,\xa00.5\u3000",
+        ],
+    )
+    def test_blocks_numpy_misreads_go_to_csv(self, loadtxt_calls, tmp_path, record):
+        path = tmp_path / "lines.csv"
+        path.write_text(f"trial_id,time,event,z1\nt2,2.0,0,1.0\n{record}\n")
+        assert _outcome(read_patient_csv, path) == _outcome(reference_read_patient_csv, path)
+        assert not loadtxt_calls.called
+
+    def test_csv_only_where_loadtxt_truncates_float_events(
+        self, loadtxt_calls, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(data_module, "_loadtxt_rejects_float_events", lambda: False)
+        path = tmp_path / "lines.csv"
+        _plain_file(path, 2, 10)
+        assert _outcome(read_patient_csv, path) == _outcome(reference_read_patient_csv, path)
+        assert not loadtxt_calls.called
 
 class TestScenarioJson:
     def test_roundtrip(self, example3_scenario, tmp_path):
