@@ -169,7 +169,9 @@ class _RiskSets(_BlockSums):
     events enter the likelihood: ``ends`` holds their last positions as
     flat indices into an (R, n) array, ``d`` their event counts and
     ``row`` their rows.  Per-row sums go through ``np.bincount``, which
-    adds each row's terms in order.
+    adds each row's terms in order.  The per-subject and per-block work
+    rows of an evaluation are allocated once and reused by every later
+    one, so a fit does not touch fresh memory at each step.
     """
 
     def __init__(self, t: np.ndarray, d: np.ndarray, z: np.ndarray):
@@ -193,6 +195,8 @@ class _RiskSets(_BlockSums):
         self.z_event_sum = np.array(
             [self._by_row(zj.ravel()[events], events // n) for zj in z]
         ).reshape(self.k, self.n_rows).T
+        self._pairs = [(j, m) for j in range(self.k) for m in range(j, self.k)]
+        self._work = None
 
     @property
     def no_contrast(self) -> np.ndarray:
@@ -211,26 +215,37 @@ class _RiskSets(_BlockSums):
     def by_row(self, values):
         return self._by_row(values, self.row)
 
-    def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
-        eta = self.z[0] * beta[:, 0, None]
+    def linear_predictor(self, beta: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """Per-subject beta' Z, into ``out`` with ``tmp`` as work if given."""
+        eta = np.multiply(self.z[0], beta[:, 0, None], out=out)
         for j in range(1, self.k):
-            eta += self.z[j] * beta[:, j, None]
+            eta += np.multiply(self.z[j], beta[:, j, None], out=tmp)
         return eta
 
-    def risk_sums(self, values: np.ndarray) -> np.ndarray:
-        """Risk-set sums of per-subject ``values`` at the event blocks."""
-        return np.cumsum(values, axis=1).ravel()[self.ends]
+    def risk_sums(self, values: np.ndarray, out=None, running=None) -> np.ndarray:
+        """Risk-set sums of per-subject ``values`` at the event blocks.
+
+        ``running`` takes the running sums and ``out`` the result, if given.
+        """
+        running = np.cumsum(values, axis=1, out=running)
+        return np.take(running.ravel(), self.ends, out=out)
 
     def risk_set_sums(self, beta: np.ndarray):
-        w = np.exp(self.linear_predictor(beta))
-        wz = [w * zj for zj in self.z]
-        s1 = [self.risk_sums(wzj) for wzj in wz]
-        s2 = {
-            (j, m): self.risk_sums(wz[j] * self.z[m])
-            for j in range(self.k)
-            for m in range(j, self.k)
-        }
-        return self.risk_sums(w), s1, s2, np.empty(self.d.size)
+        if self._work is None:
+            # per subject: w, w Z_j, a product and running sums; per event
+            # block: S0, S1_j, S2_jm and the work array
+            self._work = np.empty((self.k + 3, *self.z.shape[1:]))
+            self._sums = np.empty((self.k + len(self._pairs) + 2, self.d.size))
+        w, wz, product, running = self._work[0], self._work[1:-2], self._work[-2], self._work[-1]
+        s0, s1, tmp = self._sums[0], self._sums[1 : 1 + self.k], self._sums[-1]
+        s2 = dict(zip(self._pairs, self._sums[1 + self.k : -1]))
+        np.exp(self.linear_predictor(beta, out=w, tmp=product), out=w)
+        for j in range(self.k):
+            np.multiply(w, self.z[j], out=wz[j])
+            self.risk_sums(wz[j], out=s1[j], running=running)
+        for (j, m), s2_jm in s2.items():
+            self.risk_sums(np.multiply(wz[j], self.z[m], out=product), out=s2_jm, running=running)
+        return self.risk_sums(w, out=s0, running=running), list(s1), s2, tmp
 
 
 class _CountTables(_BlockSums):

@@ -24,7 +24,7 @@ from hrmix import (
     solve_theta_pl_general,
 )
 from hrmix import analysis
-from hrmix.cox import _SINGULAR, _CountTables
+from hrmix.cox import _SINGULAR, _CountTables, _RiskSets
 
 from conftest import naive_log_partial_likelihood, reference_fit_cox
 
@@ -98,6 +98,20 @@ def test_row_alone_equals_row_in_chunk(k):
                 getattr(part, field)[part.ok], getattr(whole, field)[start:stop][part.ok]
             )
         np.testing.assert_array_equal(part.failure, whole.failure[start:stop])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_evaluation_does_not_read_the_last_ones_work_rows(k):
+    # the risk-set sums reuse their work rows, so an evaluation must give
+    # the same bits after any other as on fresh rows
+    times, events, z = _tied_rows(300 + k, 6, 40, k)
+    rng = np.random.default_rng(k)
+    betas = [rng.normal(size=(6, k)) for _ in range(3)]
+    fresh = [_RiskSets(times, events, np.moveaxis(z, 2, 0)).loglik_score_info(b) for b in betas]
+    reused = _RiskSets(times, events, np.moveaxis(z, 2, 0))
+    for beta, want in zip(betas + betas[::-1], fresh + fresh[::-1]):
+        for got, expected in zip(reused.loglik_score_info(beta), want):
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_contrast_only_before_the_first_event_is_singular():
