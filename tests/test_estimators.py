@@ -38,6 +38,7 @@ from hrmix import (
     wald_test,
 )
 from hrmix.data import scenario_with
+import hrmix.estimators as estimators
 from hrmix.estimators import CombinedEffect, wald_test as _wald
 
 from conftest import EXAMPLE3_P
@@ -186,6 +187,37 @@ def test_random_k2_laws():
         mix = p * np.exp(-support @ alpha) + (1 - p) * np.exp(-support @ beta)
         score = (probs * np.exp(support @ theta) * mix) @ support - probs @ support
         assert np.max(np.abs(score)) <= 1e-10
+
+
+def test_k3_law_where_a_newton_step_overshoots():
+    # the first full Newton step lowers Phi but lands where the Hessian's
+    # condition number is 5e13; no halving of the next Newton step lowers
+    # Phi, so a steepest-descent step is taken (draw 248 of the k = 3 laws
+    # drawn like test_random_k2_laws from np.random.default_rng(7))
+    support = [
+        [0.008167985304756709, -0.8381689167231139, 1.6970717152822443],
+        [0.6057468271780588, 1.3720146881651623, -1.0681575309824907],
+        [1.8930882644265865, 0.5402110143731536, -0.5009556587814945],
+        [-0.9956535147995358, -1.60465706336181, -1.8684810973328325],
+        [-1.2159939833235853, -0.7605971330956698, 0.1226209609590776],
+    ]
+    probs = [
+        0.38426878575435003,
+        0.02350582490344032,
+        0.00705224921202908,
+        0.036332541347239296,
+        0.5488405987829412,
+    ]
+    dist = CovariateDistribution(support=support, probs=probs)
+    alpha = [1.1081888925401975, -2.773406815767024, 3.0686456057823186]
+    beta = [3.8985646152007307, 0.9203729131677676, -3.6133964285644113]
+    p = 0.2134175348659212
+    theta, equation = estimators._pl_root(alpha, beta, p, dist)
+    assert np.array_equal(theta, solve_theta_pl_general(alpha, beta, p, dist))
+    assert np.max(np.abs(equation(theta)[1])) <= 1e-12
+    # Newton from near the minimiser takes only full steps to the same point
+    near = estimators._newton_min(lambda t: equation(t)[:3], theta + 0.01, 1e-12)
+    np.testing.assert_allclose(near, theta, rtol=0, atol=1e-10)
 
 
 def test_support_spanning_fewer_than_k_dimensions_rejected():
