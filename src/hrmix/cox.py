@@ -222,30 +222,36 @@ class _RiskSets(_BlockSums):
             eta += np.multiply(self.z[j], beta[:, j, None], out=tmp)
         return eta
 
-    def risk_sums(self, values: np.ndarray, out=None, running=None) -> np.ndarray:
+    def risk_sums(self, values: np.ndarray, out=None) -> np.ndarray:
         """Risk-set sums of per-subject ``values`` at the event blocks.
 
-        ``running`` takes the running sums and ``out`` the result, if given.
+        With ``out`` given, the result goes there and the running sums
+        overwrite ``values``.
         """
-        running = np.cumsum(values, axis=1, out=running)
+        running = np.cumsum(values, axis=1, out=None if out is None else values)
         return np.take(running.ravel(), self.ends, out=out)
 
     def risk_set_sums(self, beta: np.ndarray):
         if self._work is None:
-            # per subject: w, w Z_j, a product and running sums; per event
-            # block: S0, S1_j, S2_jm and the work array
-            self._work = np.empty((self.k + 3, *self.z.shape[1:]))
-            self._sums = np.empty((self.k + len(self._pairs) + 2, self.d.size))
-        w, wz, product, running = self._work[0], self._work[1:-2], self._work[-2], self._work[-1]
+            # per subject: w and a product; per event block: S0, S1_j,
+            # S2_jm and the work array.  One array per row, as fresh
+            # temporaries were: a freed block larger than any of them would
+            # raise glibc's mmap threshold and keep later arrays on the heap,
+            # which measured 2 MB more peak RSS on a `lines` pass.
+            self._work = [np.empty(self.z.shape[1:]) for _ in range(2)]
+            self._sums = [np.empty(self.d.size) for _ in range(self.k + len(self._pairs) + 2)]
+        w, product = self._work
         s0, s1, tmp = self._sums[0], self._sums[1 : 1 + self.k], self._sums[-1]
         s2 = dict(zip(self._pairs, self._sums[1 + self.k : -1]))
         np.exp(self.linear_predictor(beta, out=w, tmp=product), out=w)
         for j in range(self.k):
-            np.multiply(w, self.z[j], out=wz[j])
-            self.risk_sums(wz[j], out=s1[j], running=running)
+            self.risk_sums(np.multiply(w, self.z[j], out=product), out=s1[j])
         for (j, m), s2_jm in s2.items():
-            self.risk_sums(np.multiply(wz[j], self.z[m], out=product), out=s2_jm, running=running)
-        return self.risk_sums(w, out=s0, running=running), list(s1), s2, tmp
+            np.multiply(w, self.z[j], out=product)
+            product *= self.z[m]
+            self.risk_sums(product, out=s2_jm)
+        # last, since it overwrites w
+        return self.risk_sums(w, out=s0), s1, s2, tmp
 
 
 class _CountTables(_BlockSums):
