@@ -506,8 +506,8 @@ def _loadtxt_agrees(text: str) -> bool:
 
     That holds for ASCII text without the separators \\x1c-\\x1f, on a
     numpy that rejects float text in int fields.  Outside ASCII, numpy
-    2.4's integer parser can read out of bounds on a field that starts
-    with a character such as U+E0001, and crash the process.
+    2.4.6's integer parser crashed the process (a segmentation fault) on
+    int fields starting with U+E0001.
     """
     return (
         text.isascii()
