@@ -569,6 +569,8 @@ def breslow_limit(
     increments over ``window``-event blocks before forming hazard ratios
     against the unit-hazard reference.
     """
+    if window < 1:
+        raise ValueError("window must be at least 1 event")
     t_grid = np.asarray(t_grid, dtype=float)
     pooled = _example4_pool(a, b, p, n_subjects, seed)
     fit = fit_cox(pooled)

@@ -101,6 +101,8 @@ def _load_aggregates(path):
         ]
     except KeyError as exc:
         raise SchemaError(f"aggregates file missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"aggregates file has a field of the wrong type ({exc})") from None
     return aggregates, dist
 
 

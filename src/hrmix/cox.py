@@ -6,12 +6,13 @@ Breslow step estimate of the baseline cumulative hazard.  The solver fits
 a batch of datasets at once, one per row: every row keeps its own
 convergence test, step-halving and failure checks, and no row's
 arithmetic depends on another, so a row fits to the same bits alone or in
-any batch.  The risk-set sums at the end of each tie block (Therneau &
-Grambsch 2000, ch. 3) come from one of two sources:
+any batch.  The risk-set sums at the end of each tie block with events
+(Therneau & Grambsch 2000, ch. 3) share one layout, each row's blocks
+contiguous (:class:`_BlockSums`), and come from one of two sources:
 
 - :func:`fit_cox_rows` (and :func:`fit_cox`, its one-row case) takes any
   covariates: a risk-set sum is a running sum over the subjects of the
-  row in descending time.
+  row in descending time (:class:`_RiskSets`).
 - The censoring sweep draws its covariates from a law with m support
   points, so a risk-set sum is the at-risk count of each point times
   e^{beta'z} z^r, an O(m) sum (:class:`_CountTables`).  Capping times at
@@ -126,15 +127,33 @@ class BreslowCurve:
 class _BlockSums:
     """Breslow likelihood of R datasets from risk-set sums at event blocks.
 
-    A subclass sets ``n_rows``, ``k``, ``n_events`` (R,), ``no_contrast``
-    (R,), ``short_rank`` (R,), ``d`` (the event count of each event block)
-    and ``z_event_sum`` (R, k).  Its ``risk_set_sums(beta)`` returns S0, the
+    A subclass hands :meth:`_set_blocks` ``d``, the event count of each
+    event block, each row's blocks contiguous and rows in order, and
+    ``lengths`` (R,), each row's number of event blocks.  It sets ``k``,
+    ``n_events``, ``no_contrast``, ``short_rank`` (each (R,)) and
+    ``z_event_sum`` (R, k).  Its ``risk_set_sums(beta)`` returns S0, the
     list of S1_j and the dict of S2_jm (j <= m), the sums of exp(beta' Z)
-    Z^r over the risk set of each event block, plus a work array of the
-    same length; the caller may overwrite all four.  Its ``by_row(values)``
-    sums a value per event block over each row.  A row's sums never read
-    another row.
+    Z^r over the risk set of each block of ``d``, and a work array of the
+    same length, all four free to overwrite.  :meth:`by_row` sums a value
+    per block over each row, so a row's sums never read another row.
     """
+
+    def _set_blocks(self, d: np.ndarray, lengths: np.ndarray) -> None:
+        self.d = d
+        self.lengths = lengths
+        self.n_rows = lengths.size
+        self.nonempty = lengths > 0
+        self.starts = (np.cumsum(lengths) - lengths)[self.nonempty]
+
+    @property
+    def _pairs(self):
+        return [(j, m) for j in range(self.k) for m in range(j, self.k)]
+
+    def by_row(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n_rows)
+        # reduceat gives values[start], not 0, for an empty segment
+        out[self.nonempty] = np.add.reduceat(values, self.starts)
+        return out
 
     def loglik_score_info(self, beta: np.ndarray):
         """Breslow log partial likelihood, score and observed information per row."""
@@ -161,41 +180,32 @@ class _BlockSums:
 
 
 class _RiskSets(_BlockSums):
-    """Tie-block structure of R equal-size datasets, each in descending time.
+    """Event blocks of R equal-size datasets, each in descending time.
 
     The risk set of an event is every subject in its own tie block and in
     all earlier (larger-time) blocks, so a risk-set sum is a running sum
-    along the row read at the block's last position.  Only blocks with
-    events enter the likelihood: ``ends`` holds their last positions as
-    flat indices into an (R, n) array, ``d`` their event counts and
-    ``row`` their rows.  Per-row sums go through ``np.bincount``, which
-    adds each row's terms in order.  The per-subject and per-block work
+    along the row read at the block's last position.  ``ends`` holds the
+    last positions of the event blocks, in the order of ``d``, as flat
+    indices into an (R, n) array.  The per-subject and per-block work
     rows of an evaluation are allocated once and reused by every later
     one, so a fit does not touch fresh memory at each step.
     """
 
     def __init__(self, t: np.ndarray, d: np.ndarray, z: np.ndarray):
         # t, d: (R, n); z: (k, R, n), each row sorted by descending time
-        self.n_rows, n = t.shape
+        R, n = t.shape
         self.k = len(z)
         self.z = z
-        last = np.empty(t.shape, dtype=bool)
-        np.not_equal(t[:, 1:], t[:, :-1], out=last[:, :-1])
-        last[:, -1] = True
-        block_end = np.flatnonzero(last)
+        block_end = _block_ends(t)
         # every row ends a block, so a count running over the flattened
         # batch differences to each block's own events, even across rows
         counts = np.diff(np.cumsum(d, axis=None)[block_end], prepend=0)
         has = counts > 0
         self.ends = block_end[has]
-        self.d = counts[has].astype(float)
-        self.row = self.ends // n
+        row_edges = np.searchsorted(self.ends, n * np.arange(R + 1))
+        self._set_blocks(counts[has].astype(float), np.diff(row_edges))
         self.n_events = d.sum(axis=1)
-        events = np.flatnonzero(d)
-        self.z_event_sum = np.array(
-            [self._by_row(zj.ravel()[events], events // n) for zj in z]
-        ).reshape(self.k, self.n_rows).T
-        self._pairs = [(j, m) for j in range(self.k) for m in range(j, self.k)]
+        self.z_event_sum = np.einsum("jrn,rn->rj", z, d)
         self._work = None
 
     @property
@@ -206,14 +216,8 @@ class _RiskSets(_BlockSums):
     def short_rank(self) -> np.ndarray:
         # at risk at the earliest event: each row up to its last event block
         last, n = np.full(self.n_rows, -1), self.z.shape[2]
-        np.maximum.at(last, self.row, self.ends - self.row * n)
+        last[self.nonempty] = self.ends[self.starts + self.lengths[self.nonempty] - 1] % n
         return _short_rank(np.moveaxis(self.z, 0, 2), np.arange(n) <= last[:, None])
-
-    def _by_row(self, values, rows):
-        return np.bincount(rows, values, self.n_rows)
-
-    def by_row(self, values):
-        return self._by_row(values, self.row)
 
     def linear_predictor(self, beta: np.ndarray, out=None, tmp=None) -> np.ndarray:
         """Per-subject beta' Z, into ``out`` with ``tmp`` as work if given."""
@@ -267,17 +271,15 @@ class _CountTables(_BlockSums):
     number of subjects at level s at risk at the end of block b, so a
     risk-set sum is the O(m) sum sum_s counts[s, b] e^{beta' z_s} z_s^r
     over the m support points, not a running sum over every subject.
-    ``counts`` and ``d`` hold each fitted row's blocks contiguously, rows
-    in order, and per-row sums go through ``np.add.reduceat``.  The tables
-    and the work rows of an evaluation live in one buffer that every
-    :meth:`fit` reuses, so a sweep touches fresh memory only once.
+    ``counts`` follows the block layout of ``d``.  The tables and the work
+    rows of an evaluation live in one buffer that every :meth:`fit`
+    reuses, so a sweep touches fresh memory only once.
     """
 
     def __init__(self, support: np.ndarray, study_ends):
         self.support = support
         self.k = support.shape[1]
         self.study_ends = np.asarray(study_ends, dtype=float)
-        self._pairs = [(j, m) for j in range(self.k) for m in range(j, self.k)]
         self._buffer = np.empty(0)
 
     def fit(self, times, levels) -> CoxRows:
@@ -289,7 +291,6 @@ class _CountTables(_BlockSums):
         R, n = times.shape
         m = len(self.support)
         G = self.study_ends.size
-        self.n_rows = G * R
         # rank: the number of study ends below a subject's time, so that it
         # is an event at study end g when rank <= g; tally[r, rank, level]
         rank = np.searchsorted(self.study_ends, times)
@@ -303,13 +304,10 @@ class _CountTables(_BlockSums):
         self.no_contrast = np.tile(present.sum(axis=1) <= 1, G)
         points = np.broadcast_to(self.support, (R, m, self.k))
         self.short_rank = np.tile(_short_rank(points, present), G)
-        self.z_event_sum = np.zeros((self.n_rows, self.k))
+        self.z_event_sum = np.zeros((G * R, self.k))
         for s in range(m):
             self.z_event_sum += events[:, s, None] * self.support[s]
-        last = np.empty(times.shape, dtype=bool)
-        np.not_equal(times[:, 1:], times[:, :-1], out=last[:, :-1])
-        last[:, -1] = True
-        block_end = np.flatnonzero(last)
+        block_end = _block_ends(times)
         # every row ends a block, so differences of the flat positions are
         # block sizes even across rows; every latent subject is an event
         block_d = np.diff(block_end, prepend=-1).astype(float)
@@ -317,30 +315,23 @@ class _CountTables(_BlockSums):
         blocks = np.bincount(
             block_end // n * (G + 1) + block_rank, minlength=R * (G + 1)
         ).reshape(R, G + 1)
-        self.lengths = np.cumsum(blocks[:, :G], axis=1).T.ravel()
-        offsets = np.cumsum(self.lengths) - self.lengths
-        self.nonempty = self.lengths > 0
-        self.starts = offsets[self.nonempty]
+        lengths = np.cumsum(blocks[:, :G], axis=1).T.ravel()
         # rows: counts per level, d, then S0, S1_j, S2_jm and one work row
-        size = self.lengths.sum()
+        size = lengths.sum()
         rows = m + 3 + self.k + len(self._pairs)
         if self._buffer.size < rows * size:
             # room for one block per subject: later fits of no more rows and
             # subjects reuse it, and the unused tail is never touched
-            self._buffer = np.empty(rows * self.n_rows * n)
+            self._buffer = np.empty(rows * G * R * n)
         table = self._buffer[: rows * size].reshape(rows, size)
-        self.counts, self.d, self._scratch = table[:m], table[m], table[m + 1 :]
+        self.counts, self._scratch = table[:m], table[m + 1 :]
+        self._set_blocks(table[m], lengths)
         used = np.concatenate([np.flatnonzero(block_rank <= g) for g in range(G)])
         np.take(block_d, used, out=self.d)
         used_ends = block_end[used]
         for s in range(m):
             at_risk = np.cumsum(levels == s, axis=1, dtype=float)
             np.take(at_risk, used_ends, out=self.counts[s])
-
-    def by_row(self, values):
-        out = np.zeros(self.n_rows)
-        out[self.nonempty] = np.add.reduceat(values, self.starts)
-        return out
 
     def risk_set_sums(self, beta: np.ndarray):
         k = self.k
@@ -364,6 +355,14 @@ class _CountTables(_BlockSums):
                 wz *= z[k - 1]
                 s2[j, k - 1] += wz
         return s0, s1, s2, wz
+
+
+def _block_ends(times: np.ndarray) -> np.ndarray:
+    """Flat positions ending each tie block of (R, n) rows in descending time."""
+    last = np.empty(times.shape, dtype=bool)
+    np.not_equal(times[:, 1:], times[:, :-1], out=last[:, :-1])
+    last[:, -1] = True
+    return np.flatnonzero(last)
 
 
 def _short_rank(points: np.ndarray, present: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Patient-line data model, covariate laws, and the trial simulator.
 
-Datasets are stored columnwise in read-only numpy arrays and are safe to
-share across threads.  Simulation streams are counter-based (Philox keyed
-by ``(master_seed, replicate)``), so replicate r always sees the same
-stream no matter how many workers run or in what order they are
-scheduled.
+Datasets are stored columnwise in read-only numpy arrays.  Simulation
+streams are counter-based (Philox keyed by ``(master_seed, replicate)``),
+so replicate r always sees the same stream, whichever other replicates
+are drawn and in whatever order.
 
 Patient-line CSV files are read a block of lines at a time by two
 readers that give the same datasets and the same errors: numpy's C reader
@@ -328,7 +327,8 @@ def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
     """Independent counter-based stream for one Monte Carlo replicate.
 
     The Philox key is built directly from ``(master_seed, replicate)``,
-    so streams do not depend on spawn order or worker scheduling.
+    so a stream does not depend on which other replicates are drawn, or
+    in what order.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
@@ -399,8 +399,8 @@ def simulate_trial(
 def simulate_scenario(spec: ScenarioSpec, replicate: int = 0) -> list[TrialDataset]:
     """Simulate every trial of a scenario on the replicate's own stream.
 
-    Identical (spec, replicate) pairs produce bit-identical datasets
-    regardless of how many worker threads are running elsewhere.
+    Identical (spec, replicate) pairs produce bit-identical datasets,
+    whichever other replicates are drawn and in whatever order.
     """
     rng = replicate_stream(spec.seed, replicate)
     out = []
@@ -715,13 +715,6 @@ def read_patient_csv(path) -> list[TrialDataset]:
 # Scenario JSON config mirroring ScenarioSpec field for field
 # ---------------------------------------------------------------------------
 
-_CENSORING_KINDS = {
-    "none": NoCensoring,
-    "administrative": AdministrativeCensoring,
-    "exponential": ExponentialCensoring,
-}
-
-
 def _censoring_to_json(c: CensoringScheme) -> dict:
     if isinstance(c, NoCensoring):
         return {"kind": "none"}
@@ -790,6 +783,8 @@ def scenario_from_json(obj) -> ScenarioSpec:
         )
     except KeyError as exc:
         raise SchemaError(f"scenario config missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"scenario config has a field of the wrong type ({exc})") from None
 
 
 def scenario_with(spec: ScenarioSpec, **changes) -> ScenarioSpec:

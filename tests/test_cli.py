@@ -69,6 +69,9 @@ class TestSolve:
         assert main(["solve", "--a", "0.5", "--b", "1.0", "--p", "0.5", "--q", "0.5"]) == 3
 
 
+_LAW = {"support": [[0.0], [1.0]], "probs": [0.5, 0.5]}
+
+
 class TestEstimate:
     def _aggregates_file(self, tmp_path, beta1, beta2, var=0.02):
         payload = {
@@ -76,7 +79,7 @@ class TestEstimate:
                 {"label": "t1", "n": 400, "beta_hat": [beta1], "covariance": [[var]]},
                 {"label": "t2", "n": 170, "beta_hat": [beta2], "covariance": [[var]]},
             ],
-            "covariate_dist": {"support": [[0.0], [1.0]], "probs": [0.5, 0.5]},
+            "covariate_dist": _LAW,
         }
         path = tmp_path / "aggs.json"
         path.write_text(json.dumps(payload))
@@ -113,6 +116,22 @@ class TestEstimate:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["estimate", "--aggregates", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"trials": 5, "covariate_dist": _LAW},
+            {"trials": [7, 7], "covariate_dist": _LAW},
+            {"trials": [], "covariate_dist": [1, 2]},
+            [1, 2],
+        ],
+        ids=["trials-int", "trial-int", "law-list", "top-level-list"],
+    )
+    def test_wrong_typed_field_is_schema_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "aggs.json"
+        path.write_text(json.dumps(payload))
+        assert main(["estimate", "--aggregates", str(path)]) == 2
+        assert "wrong type" in capsys.readouterr().err
 
     def test_oversized_trial_id_is_input_error(self, capsys, tmp_path):
         lines = tmp_path / "lines.csv"
@@ -188,6 +207,29 @@ class TestSimulateAndSweep:
         rows = list(csv.DictReader(out1.open()))
         assert [r["t_max"] for r in rows] == ["1.0", "inf"]
         assert float(rows[0]["censored_fraction"]) == pytest.approx(0.51, abs=0.03)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("covariate_dist", [1, 2]),
+            ("baseline", 5),
+            ("censoring", 5),
+            ("trial_effects", 5),
+            (None, [1, 2]),
+        ],
+    )
+    def test_wrong_typed_scenario_is_schema_error(
+        self, capsys, tmp_path, example3_scenario, field, value
+    ):
+        config = scenario_to_json(example3_scenario)
+        if field is None:
+            config = value
+        else:
+            config[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "wrong type" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_grid(self, tmp_path, scenario_file):
         code = main(
@@ -270,6 +312,14 @@ class TestBreslowCommand:
         assert series == {"analytic", "empirical"}
         manifest = json.loads((tmp_path / "breslow.csv.manifest.json").read_text())
         assert manifest["config"]["c_star"] == pytest.approx(0.685, abs=0.01)
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_is_input_error(self, capsys, tmp_path, window):
+        out = tmp_path / "breslow.csv"
+        argv = ["breslow", "--a", "0.5", "--b", "1.0", "--p", "0.5", "--subjects", "4000"]
+        assert main(argv + ["--window", window, "--out", str(out)]) == 2
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_censoring_bias_script_writes_csv(tmp_path):

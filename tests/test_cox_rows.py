@@ -24,7 +24,7 @@ from hrmix import (
     solve_theta_pl_general,
 )
 from hrmix import analysis
-from hrmix.cox import _SINGULAR, _CountTables, _RiskSets
+from hrmix.cox import _NO_EVENTS, _SINGULAR, _CountTables, _RiskSets
 
 from conftest import naive_log_partial_likelihood, reference_fit_cox
 
@@ -112,6 +112,30 @@ def test_evaluation_does_not_read_the_last_ones_work_rows(k):
     for beta, want in zip(betas + betas[::-1], fresh + fresh[::-1]):
         for got, expected in zip(reused.loglik_score_info(beta), want):
             assert got.tobytes() == expected.tobytes()
+
+
+def test_eventless_rows_first_in_the_middle_and_last():
+    # np.add.reduceat gives values[start], not 0, for an empty segment, so
+    # a row without event blocks must stay out of the per-row sums
+    rng = np.random.default_rng(17)
+    R, n, k = 8, 30, 2
+    times = np.sort(np.round(rng.exponential(size=(R, n)), 1), axis=1)[:, ::-1]
+    events = (rng.random((R, n)) < 0.7).astype(np.int64)
+    z = rng.normal(size=(R, n, k))
+    eventless = [0, 3, 4, 7]
+    events[eventless] = 0
+    rows = fit_cox_rows(times, events, z)
+    assert rows.failure[eventless].tolist() == [_NO_EVENTS] * len(eventless)
+    assert rows.ok.sum() == R - len(eventless)
+    fields = ("beta_hat", "covariance", "log_partial_likelihood", "n_events", "residual")
+    for r in np.flatnonzero(rows.ok):
+        alone = fit_cox_rows(times[r : r + 1], events[r : r + 1], z[r : r + 1])
+        for field in fields + ("iterations", "failure"):
+            assert getattr(alone, field)[0].tobytes() == getattr(rows, field)[r].tobytes()
+    # at any beta an eventless row's likelihood, score and information are 0
+    sets = _RiskSets(times, events, np.moveaxis(z, 2, 0))
+    for value in sets.loglik_score_info(rng.normal(size=(R, k))):
+        assert not value[eventless].any()
 
 
 def test_contrast_only_before_the_first_event_is_singular():
