@@ -30,10 +30,8 @@ from .data import (
     IdentityBaseline,
     NoCensoring,
     ScenarioSpec,
-    SubjectRecord,
     TrialDataset,
     WeibullBaseline,
-    censor_administrative,
     pool,
     read_patient_csv,
     replicate_stream,

@@ -26,6 +26,7 @@ from .data import (
 )
 from .errors import HrmixError
 from .estimators import (
+    _cpl_binary,
     c_hm_binary,
     solve_cpl_binary,
     solve_theta_pl_general,
@@ -221,8 +222,9 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
     end reads a suffix of its event blocks.  A law with more than
     ``_TABLE_LEVELS_PER_COVARIATE`` points per covariate is fitted by
     running sums over the subjects instead (:func:`fit_cox_rows`, every
-    study end in one call).  The binary plug-in is one
-    :func:`solve_cpl_binary` call over every cell whose fits succeeded.
+    study end in one call).  The binary plug-in is one batched solve of
+    the binary limit over every cell whose fits succeeded; a cell it cannot
+    certify counts as failed.  A NaN study end is rejected.
     Replicate streams depend only on (seed, replicate) and no row's fit
     depends on its chunk, so results do not depend on the chunk size.
     """
@@ -233,8 +235,8 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
     grid = np.asarray(sorted(float(t) for t in t_max_grid), dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("t_max grid must be nonempty with distinct values")
-    if np.any(grid <= 0):
-        raise ValueError("t_max values must be positive")
+    if not np.all(grid > 0):
+        raise ValueError("t_max values must be positive (and not NaN)")
     theta_pl, frac, alpha, beta = _sweep_fits(scenario, grid, replicates)
     p = scenario.mixing_p
     binary_q = scenario.covariate_dist.arm_probability()
@@ -327,8 +329,8 @@ def _sweep_plugin(alpha, beta, p, binary_q, dist):
     """Component 0 of the plug-in at every cell with finite trial fits.
 
     ``alpha`` and ``beta`` are (..., k) per-trial log hazard ratios.  The
-    binary limit is one batched solve; if it raises, the cells are solved
-    one at a time so that a failure stays with its own cell.  General
+    binary limit is one batched solve, in which a cell the rule cannot
+    certify comes back NaN without touching the others.  General
     covariates take one Newton solve per cell.  Failed cells hold NaN.
     """
     theta_m = np.full(alpha.shape[:-1], np.nan)
@@ -337,18 +339,11 @@ def _sweep_plugin(alpha, beta, p, binary_q, dist):
     beta = beta.reshape(-1, beta.shape[-1])[cells]
     out = theta_m.reshape(-1)
     if binary_q is not None:
-        a_hat, b_hat = np.exp(alpha[:, 0]), np.exp(beta[:, 0])
-        try:
-            out[cells] = np.log(solve_cpl_binary(a_hat, b_hat, p, binary_q))
-            return theta_m
-        except HrmixError:
-            pass
+        out[cells] = np.log(_cpl_binary(np.exp(alpha[:, 0]), np.exp(beta[:, 0]), p, binary_q))
+        return theta_m
     for i, cell in enumerate(cells):
         try:
-            if binary_q is not None:
-                out[cell] = np.log(solve_cpl_binary(a_hat[i], b_hat[i], p, binary_q))
-            else:
-                out[cell] = solve_theta_pl_general(alpha[i], beta[i], p, dist)[0]
+            out[cell] = solve_theta_pl_general(alpha[i], beta[i], p, dist)[0]
         except HrmixError:
             continue
     return theta_m
@@ -377,39 +372,32 @@ class GridResult:
     q: float
 
 
-def _grid_from_values(a_values, b_values, p, q, populate) -> GridResult:
-    na, nb = len(a_values), len(b_values)
-    shape = (na, nb)
-    c_hm = np.full(shape, np.nan)
-    c_pl = np.full(shape, np.nan)
-    exp_tl = np.full(shape, np.nan)
-    c_l = np.full(shape, np.nan)
-    rows, cols = [], []
-    for i, a in enumerate(a_values):
-        for j, b in enumerate(b_values):
-            if not populate(a, b):
-                continue
-            rows.append(i)
-            cols.append(j)
-            c_hm[i, j] = c_hm_binary(a, b, p)
-            exp_tl[i, j] = a**p * b ** (1 - p)
-            c_l[i, j] = p * a + (1 - p) * b
-    if rows:
-        # one batched solve for every populated cell
-        a_cells = np.asarray(a_values, dtype=float)[rows]
-        b_cells = np.asarray(b_values, dtype=float)[cols]
-        c_pl[rows, cols] = solve_cpl_binary(a_cells, b_cells, p, q)
+def _grid_from_values(a_values, b_values, p, q, populated) -> GridResult:
+    """Every surface over the cells of the (a, b) grid where ``populated`` is true."""
+    a_values = np.asarray(a_values, dtype=float)
+    b_values = np.asarray(b_values, dtype=float)
+    a = np.broadcast_to(a_values[:, None], populated.shape)[populated]
+    b = np.broadcast_to(b_values[None, :], populated.shape)[populated]
+
+    def surface(values):
+        out = np.full(populated.shape, np.nan)
+        out[populated] = values
+        return out
+
+    c_hm = surface(c_hm_binary(a, b, p))
+    c_pl = surface(solve_cpl_binary(a, b, p, q))
+    exp_tl = surface(a**p * b ** (1 - p))
     with np.errstate(invalid="ignore"):
         pct_hm_vs_pl = 100.0 * (c_hm - c_pl) / c_pl
         pct_expl_vs_pl = 100.0 * (exp_tl - c_pl) / c_pl
         pct_expl_vs_hm = 100.0 * (exp_tl - c_hm) / c_hm
     return GridResult(
-        a_values=np.asarray(a_values, dtype=float),
-        b_values=np.asarray(b_values, dtype=float),
+        a_values=a_values,
+        b_values=b_values,
         c_hm=c_hm,
         c_pl=c_pl,
         exp_theta_l=exp_tl,
-        c_l=c_l,
+        c_l=surface(p * a + (1 - p) * b),
         pct_hm_vs_pl=pct_hm_vs_pl,
         pct_expl_vs_pl=pct_expl_vs_pl,
         pct_expl_vs_hm=pct_expl_vs_hm,
@@ -424,7 +412,8 @@ def table1_grid(p: float = 0.5, q: float = 0.5) -> GridResult:
     Hazard ratios a <= b range over {0.5, 1.0, 1.5, 2.0, 2.5, 3.0} with
     equal trial sizes and 1:1 allocation by default.
     """
-    return _grid_from_values(TABLE1_VALUES, TABLE1_VALUES, p, q, lambda a, b: b >= a)
+    values = np.asarray(TABLE1_VALUES)
+    return _grid_from_values(values, values, p, q, values[:, None] <= values[None, :])
 
 
 def figure2_grid(
@@ -435,13 +424,18 @@ def figure2_grid(
     q: float = 0.5,
 ) -> GridResult:
     """Rectangular comparison grid for percentage-difference contours."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be positive and finite")
+    if not np.all(np.isfinite([*a_range, *b_range])):
+        raise ValueError("grid ranges must be finite")
     a_values = np.round(np.arange(a_range[0], a_range[1] + resolution / 2, resolution), 12)
     b_values = np.round(np.arange(b_range[0], b_range[1] + resolution / 2, resolution), 12)
+    if a_values.size == 0 or b_values.size == 0:
+        raise ValueError("each grid range needs its minimum at or below its maximum")
     if np.any(a_values <= 0) or np.any(b_values <= 0):
         raise ValueError("grid ranges must be positive")
-    return _grid_from_values(a_values, b_values, p, q, lambda a, b: True)
+    populated = np.ones((a_values.size, b_values.size), dtype=bool)
+    return _grid_from_values(a_values, b_values, p, q, populated)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +561,11 @@ def breslow_limit(
     allocation (q = 0.5).  The empirical side simulates the four
     exponential groups, fits the pooled model, and smooths the baseline
     increments over ``window``-event blocks before forming hazard ratios
-    against the unit-hazard reference.
+    against the unit-hazard reference.  It needs at least 4 subjects, one
+    per group, and at least one full block of event times.
     """
+    if n_subjects < 4:
+        raise ValueError("n_subjects must be at least 4, one per group")
     if window < 1:
         raise ValueError("window must be at least 1 event")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -576,6 +573,8 @@ def breslow_limit(
     fit = fit_cox(pooled)
     curve = breslow_cumhaz(pooled, fit.beta_hat)
     n_blocks = curve.event_times.size // window
+    if n_blocks == 0:
+        raise ValueError(f"window {window} exceeds the {curve.event_times.size} event times")
     edges_idx = np.arange(1, n_blocks + 1) * window - 1
     edge_t = np.r_[0.0, curve.event_times[edges_idx]]
     edge_h = np.r_[0.0, curve.cumulative[edges_idx]]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analysis, data, estimators
 from .cox import fit_cox
-from .errors import HrmixError, ParseError, SchemaError
+from .errors import DimensionMismatchError, HrmixError, ParseError, SchemaError
 
 _INPUT_ERRORS = (ParseError, SchemaError, ValueError, KeyError, OSError, json.JSONDecodeError)
 
@@ -94,7 +94,7 @@ def _load_aggregates(path):
             estimators.TrialAggregate(
                 beta_hat=np.asarray(t["beta_hat"], dtype=float),
                 covariance=np.asarray(t["covariance"], dtype=float),
-                size=int(t["n"]),
+                size=data._json_int(t["n"], "n"),
                 label=str(t.get("label", "")),
             )
             for t in obj["trials"]
@@ -103,6 +103,10 @@ def _load_aggregates(path):
         raise SchemaError(f"aggregates file missing field {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise SchemaError(f"aggregates file has a field of the wrong type ({exc})") from None
+    except DimensionMismatchError as exc:
+        raise SchemaError(f"aggregates file: {exc}") from None
+    if any(a.k != dist.k for a in aggregates):
+        raise SchemaError(f"aggregates file: every beta_hat must have the law's dimension {dist.k}")
     return aggregates, dist
 
 
@@ -120,6 +124,8 @@ def _empirical_dist(pooled: data.TrialDataset) -> data.CovariateDistribution:
 
 
 def _cmd_estimate(args) -> int:
+    if not math.isfinite(args.null):
+        raise ValueError("--null must be finite")
     scheme = (
         estimators.InverseVariance()
         if args.weights == "inverse-variance"
@@ -262,6 +268,10 @@ def _cmd_breslow(args) -> int:
         raise ValueError("--a and --b must be positive")
     if not 0 < args.p < 1:
         raise ValueError("--p must lie in (0, 1)")
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        raise ValueError("--t-max must be positive and finite")
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
     c_star = estimators.solve_cpl_binary(args.a, args.b, args.p, 0.5)
     t_grid = np.linspace(0.0, args.t_max, args.points)
     comparison = analysis.breslow_limit(

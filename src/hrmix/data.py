@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ParseError, SchemaError
 
 __all__ = [
-    "SubjectRecord",
     "TrialDataset",
     "CovariateDistribution",
     "NoCensoring",
@@ -41,23 +40,12 @@ __all__ = [
     "replicate_stream",
     "simulate_trial",
     "simulate_scenario",
-    "censor_administrative",
     "pool",
     "read_patient_csv",
     "write_patient_csv",
     "scenario_from_json",
     "scenario_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One patient line: follow-up time, event flag, covariates, trial id."""
-
-    time: float
-    event: int
-    covariates: tuple[float, ...]
-    trial_id: str
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -106,21 +94,6 @@ class TrialDataset:
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "trial_ids", ids)
 
-    @classmethod
-    def from_records(cls, records: Sequence[SubjectRecord], label: str = "trial") -> "TrialDataset":
-        if not records:
-            raise ValueError("dataset must be nonempty")
-        k = len(records[0].covariates)
-        if any(len(r.covariates) != k for r in records):
-            raise DimensionMismatchError("records disagree on covariate dimension")
-        return cls(
-            times=np.array([r.time for r in records]),
-            events=np.array([r.event for r in records]),
-            covariates=np.array([r.covariates for r in records], dtype=float).reshape(len(records), k),
-            trial_ids=np.array([r.trial_id for r in records], dtype=object),
-            label=label,
-        )
-
     def __len__(self) -> int:
         return self.times.shape[0]
 
@@ -131,13 +104,6 @@ class TrialDataset:
     @property
     def n_events(self) -> int:
         return int(self.events.sum())
-
-    @property
-    def subjects(self) -> list[SubjectRecord]:
-        return [
-            SubjectRecord(float(t), int(e), tuple(z), str(i))
-            for t, e, z, i in zip(self.times, self.events, self.covariates, self.trial_ids)
-        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialDataset):
@@ -417,26 +383,6 @@ def simulate_scenario(spec: ScenarioSpec, replicate: int = 0) -> list[TrialDatas
             )
         )
     return out
-
-
-def censor_administrative(data: TrialDataset, t_max: float) -> TrialDataset:
-    """Apply a fixed study-end time to an (ideally uncensored) dataset.
-
-    Records keep their event flag only when the observed time is within
-    the study window; times are capped at ``t_max``.
-    """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    if not np.isfinite(t_max):
-        return data
-    events = np.where(data.times <= t_max, data.events, 0)
-    return TrialDataset(
-        times=np.minimum(data.times, t_max),
-        events=events,
-        covariates=data.covariates,
-        trial_ids=data.trial_ids,
-        label=data.label,
-    )
 
 
 def pool(trials: Sequence[TrialDataset]) -> TrialDataset:
@@ -763,6 +709,15 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON file; an integral float such as 400.0 passes too."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SchemaError(f"{name} must be an integer, got {value!r}")
+
+
 def scenario_from_json(obj) -> ScenarioSpec:
     """Build a ScenarioSpec from a parsed JSON object or a file path."""
     if isinstance(obj, (str, bytes)) or hasattr(obj, "__fspath__"):
@@ -775,16 +730,18 @@ def scenario_from_json(obj) -> ScenarioSpec:
         )
         return ScenarioSpec(
             trial_effects=tuple(np.asarray(e, dtype=float) for e in obj["trial_effects"]),
-            sizes=tuple(int(s) for s in obj["sizes"]),
+            sizes=tuple(_json_int(s, "sizes") for s in obj["sizes"]),
             covariate_dist=dist,
             baseline=_baseline_from_json(obj.get("baseline", {"kind": "identity"})),
             censoring=_censoring_from_json(obj.get("censoring", {"kind": "none"})),
-            seed=int(obj.get("seed", 0)),
+            seed=_json_int(obj.get("seed", 0), "seed"),
         )
     except KeyError as exc:
         raise SchemaError(f"scenario config missing field {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise SchemaError(f"scenario config has a field of the wrong type ({exc})") from None
+    except DimensionMismatchError as exc:
+        raise SchemaError(f"scenario config: {exc}") from None
 
 
 def scenario_with(spec: ScenarioSpec, **changes) -> ScenarioSpec:

@@ -386,8 +386,9 @@ def _pooled_limit_binary(a, b, p, q, upper, target):
     Solves integral_0^upper (pooled integrand) du = target for c on the
     fixed rule.  Each cell it cannot certify is solved once more, refined:
     on twice the geometric panels, summing only the part of the integrand
-    that moves with c.  A cell that still fails raises NonConvergenceError.
-    Returns a float when every argument is scalar.
+    that moves with c.  A cell that still fails comes back NaN, so one
+    cell's failure leaves every other cell's root in place.  Returns a
+    float when every argument is scalar.
     """
     a, b, p, q, upper, target = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (a, b, p, q, upper, target))
@@ -407,14 +408,28 @@ def _pooled_limit_binary(a, b, p, q, upper, target):
                 roots[redo], certified = _cpl_binary_rule(
                     *(v[redo] for v in cols), first[redo], 2 * n, refined=True
                 )
-                if not certified.all():
-                    cell = [float(v[redo[~certified][0]]) for v in cols[:5]]
-                    raise NonConvergenceError(
-                        "the fixed rule cannot certify the pooled limit at "
-                        f"(a, b, p, q) = {tuple(cell[:4])} on [0, {cell[4]}]"
-                    )
+                roots[redo[~certified]] = np.nan
     out.reshape(-1)[cells] = roots
     return float(out) if out.ndim == 0 else out
+
+
+def _certified(c, a, b, p, q, upper):
+    """The limits ``c``, or NonConvergenceError naming the first NaN cell."""
+    failed = np.flatnonzero(np.isnan(c))
+    if failed.size:
+        cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, p, q, upper)))
+        cell = [float(v.reshape(-1)[failed[0]]) for v in cells]
+        raise NonConvergenceError(
+            "the fixed rule cannot certify the pooled limit at "
+            f"(a, b, p, q) = {tuple(cell[:4])} on [0, {cell[4]}]"
+        )
+    return c
+
+
+def _cpl_binary(a, b, p, q):
+    """:func:`solve_cpl_binary` with each uncertified cell NaN instead of raising."""
+    _validate_binary_args(a, b, p, q)
+    return _pooled_limit_binary(a, b, p, q, _TAIL_CUT, 1.0)
 
 
 def solve_cpl_binary(a, b, p, q):
@@ -438,12 +453,11 @@ def solve_cpl_binary(a, b, p, q):
     estimate, divided by the residual's slope in log c, is at most 1e-11:
     a bound on the relative error of the root.  Any other cell is solved
     again on twice the geometric panels, with e^-u, the part of the
-    integrand that does not move with c, integrated in closed form.  A
-    cell that still fails raises NonConvergenceError.  A cell with
-    a == b returns a exactly.
+    integrand that does not move with c, integrated in closed form.  If a
+    cell still fails, NonConvergenceError names it.  A cell with a == b
+    returns a exactly.
     """
-    _validate_binary_args(a, b, p, q)
-    return _pooled_limit_binary(a, b, p, q, _TAIL_CUT, 1.0)
+    return _certified(_cpl_binary(a, b, p, q), a, b, p, q, _TAIL_CUT)
 
 
 def solve_censored_binary(a, b, p, q, H):
@@ -467,7 +481,8 @@ def solve_censored_binary(a, b, p, q, H):
     if not np.all(np.asarray(H) > 0):
         raise ValueError("H must be positive")
     upper = np.minimum(H, _TAIL_CUT)
-    return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper))
+    c = _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper))
+    return _certified(c, a, b, p, q, upper)
 
 
 def _limit_args(alpha, beta, p, dist):
@@ -627,13 +642,19 @@ def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
 # ---------------------------------------------------------------------------
 
 
-def c_hm_binary(a: float, b: float, p: float) -> float:
-    """Size-weighted harmonic mean of two hazard ratios."""
-    if not (a > 0 and b > 0):
+def c_hm_binary(a, b, p):
+    """Size-weighted harmonic mean of two hazard ratios.
+
+    ``a``, ``b`` and ``p`` broadcast against each other as in
+    :func:`solve_cpl_binary`: scalars give a float, arrays an array.
+    """
+    a, b, p = (np.asarray(v, dtype=float) for v in (a, b, p))
+    if not (np.all(a > 0) and np.all(b > 0)):
         raise ValueError("hazard ratios must be positive")
-    if not 0 < p < 1:
+    if not np.all((0 < p) & (p < 1)):
         raise ValueError("p must lie in (0, 1)")
-    return 1.0 / (p / a + (1 - p) / b)
+    out = 1.0 / (p / a + (1 - p) / b)
+    return float(out) if out.ndim == 0 else out
 
 
 def _hm_equation(theta, alpha, beta, p, dist):

@@ -145,6 +145,26 @@ def reference_fit_cox(times, events, z, tol=1e-10, max_iter=100):
     return beta
 
 
+def censor_administrative(data: TrialDataset, t_max: float) -> TrialDataset:
+    """Apply a fixed study-end time to an (ideally uncensored) dataset.
+
+    Records keep their event flag only when the observed time is within
+    the study window; times are capped at ``t_max``.  The sweep censors
+    through its count tables instead; this is the per-dataset oracle.
+    """
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if not np.isfinite(t_max):
+        return data
+    return TrialDataset(
+        times=np.minimum(data.times, t_max),
+        events=np.where(data.times <= t_max, data.events, 0),
+        covariates=data.covariates,
+        trial_ids=data.trial_ids,
+        label=data.label,
+    )
+
+
 def reference_read_patient_csv(path) -> list[TrialDataset]:
     """Row-by-row patient-line reader, the loop the block-wise reader replaced.
 

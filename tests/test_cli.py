@@ -133,6 +133,30 @@ class TestEstimate:
         assert main(["estimate", "--aggregates", str(path)]) == 2
         assert "wrong type" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "trial, error",
+        [
+            ({"covariance": [[1.0, 0.0], [0.0, 1.0]]}, "covariance must be 1x1"),
+            ({"beta_hat": [0.1, 0.2], "covariance": [[1.0, 0.0], [0.0, 1.0]]}, "dimension 1"),
+            ({"n": 400.5}, "n must be an integer"),
+            ({"n": "400"}, "n must be an integer"),
+        ],
+        ids=["covariance-2x2", "beta-2d", "n-fraction", "n-string"],
+    )
+    def test_schema_error_exits_2(self, capsys, tmp_path, trial, error):
+        path = self._aggregates_file(tmp_path, -0.4, -0.4)
+        payload = json.loads(Path(path).read_text())
+        payload["trials"][0].update(trial)
+        Path(path).write_text(json.dumps(payload))
+        assert main(["estimate", "--aggregates", path]) == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("null", ["nan", "inf"])
+    def test_non_finite_null_is_input_error(self, capsys, tmp_path, null):
+        path = self._aggregates_file(tmp_path, -0.4, -0.4)
+        assert main(["estimate", "--aggregates", path, "--null", null]) == 2
+        assert "--null must be finite" in capsys.readouterr().err
+
     def test_oversized_trial_id_is_input_error(self, capsys, tmp_path):
         lines = tmp_path / "lines.csv"
         huge = "x" * (csv.field_size_limit() + 1)
@@ -231,6 +255,37 @@ class TestSimulateAndSweep:
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "wrong type" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sizes", [400.5, 170]), ("sizes", [True, 170]), ("seed", 1.5), ("seed", "7")],
+        ids=["size-fraction", "size-bool", "seed-fraction", "seed-string"],
+    )
+    def test_non_integral_scenario_field_is_schema_error(
+        self, capsys, tmp_path, example3_scenario, field, value
+    ):
+        config = scenario_to_json(example3_scenario)
+        config[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_scenario_dimension_mismatch_is_input_error(self, capsys, tmp_path, example3_scenario):
+        config = scenario_to_json(example3_scenario)
+        config["sizes"] = [400, 170, 10]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "one size per trial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["nan,inf", "1,nan"])
+    def test_sweep_rejects_non_positive_study_end(self, capsys, tmp_path, scenario_file, grid):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--scenario", scenario_file, "--tmax-grid", grid, "--replicates", "100"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "t_max values must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_rejects_bad_grid(self, tmp_path, scenario_file):
         code = main(
             [
@@ -280,6 +335,24 @@ class TestTableAndGrid:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 9
 
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--step", "nan", "resolution must be positive and finite"),
+            ("--step", "inf", "resolution must be positive and finite"),
+            ("--step", "0", "resolution must be positive and finite"),
+            ("--a-min", "nan", "grid ranges must be finite"),
+            ("--b-max", "inf", "grid ranges must be finite"),
+            ("--a-min", "3.5", "minimum at or below its maximum"),
+        ],
+        ids=["step-nan", "step-inf", "step-0", "a-min-nan", "b-max-inf", "a-min-above-max"],
+    )
+    def test_grid_rejects_bad_flag(self, capsys, tmp_path, flag, value, error):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", flag, value, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_deterministic(self, tmp_path):
         args = ["grid", "--a-min", "0.5", "--a-max", "0.7", "--b-min", "0.5", "--b-max", "0.7", "--step", "0.1"]
         out1, out2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
@@ -319,6 +392,35 @@ class TestBreslowCommand:
         argv = ["breslow", "--a", "0.5", "--b", "1.0", "--p", "0.5", "--subjects", "4000"]
         assert main(argv + ["--window", window, "--out", str(out)]) == 2
         assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--t-max", "-1", "--t-max must be positive and finite"),
+            ("--t-max", "nan", "--t-max must be positive and finite"),
+            ("--t-max", "inf", "--t-max must be positive and finite"),
+            ("--points", "0", "--points must be at least 1"),
+            ("--subjects", "0", "n_subjects must be at least 4"),
+            ("--subjects", "-5", "n_subjects must be at least 4"),
+            ("--window", "100000", "window 100000 exceeds the 4000 event times"),
+        ],
+        ids=[
+            "t-max-negative",
+            "t-max-nan",
+            "t-max-inf",
+            "points-0",
+            "subjects-0",
+            "subjects-negative",
+            "window-above-events",
+        ],
+    )
+    def test_bad_flag_is_input_error(self, capsys, tmp_path, flag, value, error):
+        out = tmp_path / "breslow.csv"
+        argv = ["breslow", "--a", "0.5", "--b", "1.0", "--p", "0.5", "--subjects", "4000"]
+        assert main(argv + [flag, value, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
 

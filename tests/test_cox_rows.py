@@ -4,6 +4,7 @@ censoring sweep against a per-replicate loop."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,18 +16,18 @@ from hrmix import (
     ScenarioSpec,
     TrialDataset,
     bias_sweep,
-    censor_administrative,
     fit_cox,
     fit_cox_rows,
     pool,
     simulate_scenario,
+    solve_censored_binary,
     solve_cpl_binary,
     solve_theta_pl_general,
 )
-from hrmix import analysis
+from hrmix import analysis, estimators
 from hrmix.cox import _NO_EVENTS, _SINGULAR, _CountTables, _RiskSets
 
-from conftest import naive_log_partial_likelihood, reference_fit_cox
+from conftest import censor_administrative, naive_log_partial_likelihood, reference_fit_cox
 
 
 def _tied_rows(seed, R, n, k):
@@ -361,19 +362,48 @@ def test_sweep_does_not_depend_on_chunk(scenario, monkeypatch):
 
 
 def test_plugin_failure_stays_with_its_cell(monkeypatch):
-    # when the batched plug-in solve raises, the cells are solved one at
-    # a time and only the failing cell is lost
+    # a plug-in cell the binary rule cannot certify fails alone: the one
+    # batched solve keeps every other cell's root
     base = bias_sweep(TINY, TINY_GRID, replicates=100)
-    raised = []
+    _, _, alpha, beta = analysis._sweep_fits(TINY, np.asarray(TINY_GRID), 100)
+    a_hat, b_hat = np.exp(alpha[..., 0]), np.exp(beta[..., 0])
+    pairs = list(zip(a_hat.ravel(), b_hat.ravel()))
+    # the first solved cell whose (a, b) no other cell shares
+    r, g = next(
+        np.unravel_index(i, a_hat.shape)
+        for i, (a, b) in enumerate(pairs)
+        if np.isfinite(a) and a != b and pairs.count((a, b)) == 1
+    )
+    cell = (float(a_hat[r, g]), float(b_hat[r, g]))
+    rule = estimators._cpl_binary_rule
 
-    def flaky(a, b, p, q):
-        if np.ndim(a) > 0 or len(raised) == 1:
-            raised.append(a)
-            raise NonConvergenceError("injected")
-        return solve_cpl_binary(a, b, p, q)
+    def uncertified_at_cell(a, b, *args, refined=False):
+        c, certified = rule(a, b, *args, refined=refined)
+        return c, certified & ~((a == cell[0]) & (b == cell[1]))
 
-    monkeypatch.setattr(analysis, "solve_cpl_binary", flaky)
+    monkeypatch.setattr(estimators, "_cpl_binary_rule", uncertified_at_cell)
     result = bias_sweep(TINY, TINY_GRID, replicates=100)
-    assert len(raised) == 2
-    assert np.all(result.n_failed >= base.n_failed)
-    assert result.n_failed.sum() == base.n_failed.sum() + 1
+    expected = base.n_failed.copy()
+    expected[g] += 1
+    np.testing.assert_array_equal(result.n_failed, expected)
+    others = np.arange(len(TINY_GRID)) != g
+    for name, value in vars(base).items():
+        if np.ndim(value):
+            got = getattr(result, name)
+            np.testing.assert_array_equal(got[others], value[others], err_msg=name)
+        else:
+            assert getattr(result, name) == value
+
+    # the public solvers name the cell they cannot certify
+    p, q = TINY.mixing_p, TINY.covariate_dist.arm_probability()
+    assert np.isnan(estimators._cpl_binary([1.5, cell[0]], [0.5, cell[1]], p, q)).tolist() == [
+        False,
+        True,
+    ]
+    for solve, args, upper in (
+        (solve_cpl_binary, (), 50.0),
+        (solve_censored_binary, (2.0,), 2.0),
+    ):
+        named = f"(a, b, p, q) = {(*cell, p, q)} on [0, {upper}]"
+        with pytest.raises(NonConvergenceError, match=re.escape(named)):
+            solve([1.5, cell[0]], [0.5, cell[1]], p, q, *args)

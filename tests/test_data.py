@@ -22,7 +22,6 @@ from hrmix import (
     SchemaError,
     TrialDataset,
     WeibullBaseline,
-    censor_administrative,
     pool,
     read_patient_csv,
     replicate_stream,
@@ -33,9 +32,9 @@ from hrmix import (
     write_patient_csv,
 )
 from hrmix import data as data_module
-from hrmix.data import SubjectRecord, scenario_with
+from hrmix.data import scenario_with
 
-from conftest import reference_read_patient_csv
+from conftest import censor_administrative, reference_read_patient_csv
 
 
 class TestCovariateDistribution:
@@ -162,15 +161,6 @@ class TestDatasetValidation:
             TrialDataset(times=[-1.0], events=[1], covariates=[[0.0]], trial_ids=["t"])
         with pytest.raises(ValueError):
             TrialDataset(times=[1.0], events=[2], covariates=[[0.0]], trial_ids=["t"])
-
-    def test_from_records_roundtrip(self):
-        records = [
-            SubjectRecord(1.0, 1, (0.0,), "t1"),
-            SubjectRecord(2.0, 0, (1.0,), "t1"),
-        ]
-        data = TrialDataset.from_records(records, label="t1")
-        assert data.subjects == records
-        assert data.n_events == 1 and data.k == 1
 
     def test_arrays_are_frozen(self, example3_scenario):
         data = simulate_scenario(example3_scenario, replicate=0)[0]
