@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import _CountTables, breslow_cumhaz, fit_cox, fit_cox_rows
+# fit_cox is not called here; perfbench's tracer binds it by this name
+from .cox import (  # noqa: F401
+    _breslow_ordered,
+    _CountTables,
+    _descending,
+    _fit_ordered,
+    fit_cox,
+    fit_cox_rows,
+)
 from .data import (
     CovariateDistribution,
     ScenarioSpec,
@@ -190,16 +198,17 @@ def _sorted_latent(scenario, replicates):
             levels[row, part], times[row, part] = _draw_latent(
                 effect, size, scenario.covariate_dist, scenario.baseline, rng
             )
-    out = []
-    for lo, hi in [(0, bounds[-1])] + list(zip(bounds[:-1], bounds[1:])):
-        order = np.argsort(-times[:, lo:hi], axis=1, kind="stable")
-        out.append(
-            (
-                np.take_along_axis(times[:, lo:hi], order, axis=1),
-                np.take_along_axis(levels[:, lo:hi], order, axis=1),
-            )
-        )
-    return out
+    # a trial's own stable sort is the pooled one restricted to its
+    # columns, since that keeps its ties in column order too
+    pooled = np.argsort(-times, axis=1, kind="stable")
+    orders = [pooled] + [
+        pooled[(pooled >= lo) & (pooled < hi)].reshape(len(replicates), hi - lo)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return [
+        (np.take_along_axis(times, order, axis=1), np.take_along_axis(levels, order, axis=1))
+        for order in orders
+    ]
 
 
 def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResult:
@@ -570,8 +579,10 @@ def breslow_limit(
         raise ValueError("window must be at least 1 event")
     t_grid = np.asarray(t_grid, dtype=float)
     pooled = _example4_pool(a, b, p, n_subjects, seed)
-    fit = fit_cox(pooled)
-    curve = breslow_cumhaz(pooled, fit.beta_hat)
+    # one sort serves the fit and the curve
+    order = _descending(pooled)
+    fit = _fit_ordered(pooled, order)
+    curve = _breslow_ordered(pooled, fit.beta_hat, order)
     n_blocks = curve.event_times.size // window
     if n_blocks == 0:
         raise ValueError(f"window {window} exceeds the {curve.event_times.size} event times")

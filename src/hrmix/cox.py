@@ -508,10 +508,46 @@ def fit_cox_rows(times, events, covariates) -> CoxRows:
     return _newton(_RiskSets(t, d, z))
 
 
-def _sorted_row(data: TrialDataset):
-    """The dataset as one descending-time row: (1, n) times, events, (1, n, k)."""
-    order = np.argsort(-data.times, kind="stable")
-    return data.times[order][None], data.events[order][None], data.covariates[order][None]
+def _descending(data: TrialDataset) -> np.ndarray:
+    """The stable order of the dataset's subjects by descending time."""
+    return np.argsort(-data.times, kind="stable")
+
+
+def _risk_sets(data: TrialDataset, order: np.ndarray) -> _RiskSets:
+    """The subjects ``order`` picks from ``data``, in that order, as one row.
+
+    ``order`` must run by descending time.  Times and events are gathered
+    straight into the row and the covariates into its (k, 1, n) layout;
+    the sorted times and events are dropped once the blocks are found.
+    The dataset's constructor has checked what :func:`fit_cox_rows` checks.
+    """
+    z = np.empty((data.k, 1, order.size))
+    for j in range(data.k):
+        np.take(data.covariates[:, j], order, out=z[j, 0])
+    return _RiskSets(data.times[order][None], data.events[order][None], z)
+
+
+def _fit_ordered(data: TrialDataset, order: np.ndarray) -> CoxFit:
+    """:func:`fit_cox` of the subjects ``order`` picks from ``data``, read in that order."""
+    if data.k == 0:
+        raise DegenerateDataError("no covariates to fit")
+    rows = _newton(_risk_sets(data, order))
+    error = rows.error(0)
+    if error is not None:
+        raise error
+    beta = rows.beta_hat[0]
+    return CoxFit(
+        beta_hat=beta,
+        covariance=rows.covariance[0],
+        log_partial_likelihood=float(rows.log_partial_likelihood[0]),
+        n_events=int(rows.n_events[0]),
+        report=SolveReport(
+            root=beta,
+            residual_norm=float(rows.residual[0]),
+            iterations=int(rows.iterations[0]),
+            converged=True,
+        ),
+    )
 
 
 def fit_cox(data: TrialDataset) -> CoxFit:
@@ -534,25 +570,26 @@ def fit_cox(data: TrialDataset) -> CoxFit:
     NonConvergenceError
         iteration budget exhausted with the score still above tolerance.
     """
-    if data.k == 0:
-        raise DegenerateDataError("no covariates to fit")
-    rows = fit_cox_rows(*_sorted_row(data))
-    error = rows.error(0)
-    if error is not None:
-        raise error
-    beta = rows.beta_hat[0]
-    return CoxFit(
-        beta_hat=beta,
-        covariance=rows.covariance[0],
-        log_partial_likelihood=float(rows.log_partial_likelihood[0]),
-        n_events=data.n_events,
-        report=SolveReport(
-            root=beta,
-            residual_norm=float(rows.residual[0]),
-            iterations=int(rows.iterations[0]),
-            converged=True,
-        ),
-    )
+    return _fit_ordered(data, _descending(data))
+
+
+def _fit_trials_and_pooled(table: TrialDataset, sizes) -> tuple[list[CoxFit], CoxFit]:
+    """:func:`fit_cox` of each trial of ``table``, then of all of it, from one sort.
+
+    Trial i is the next ``sizes[i]`` rows of ``table``.  Its order is the
+    table's stable descending-time order restricted to its rows: that
+    keeps ties in row order, as the trial's own stable sort does, so each
+    fit is bit-identical to :func:`fit_cox` on the trial alone.  The
+    trials are fitted first and in turn, so the first failing trial
+    raises before the pooled fit.
+    """
+    order = _descending(table)
+    fits = []
+    lo = 0
+    for size in sizes:
+        fits.append(_fit_ordered(table, order[(order >= lo) & (order < lo + size)]))
+        lo += size
+    return fits, _fit_ordered(table, order)
 
 
 def breslow_cumhaz(data: TrialDataset, beta_hat=None) -> BreslowCurve:
@@ -568,13 +605,17 @@ def breslow_cumhaz(data: TrialDataset, beta_hat=None) -> BreslowCurve:
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
     if beta_hat.shape != (data.k,):
         raise ValueError(f"beta_hat must have length {data.k}")
-    t, d, x = _sorted_row(data)
-    sets = _RiskSets(t, d, np.moveaxis(x, 2, 0))
-    w = np.exp(sets.linear_predictor(beta_hat[None])) if data.k else np.ones(t.shape)
+    return _breslow_ordered(data, beta_hat, _descending(data))
+
+
+def _breslow_ordered(data: TrialDataset, beta_hat: np.ndarray, order: np.ndarray) -> BreslowCurve:
+    """:func:`breslow_cumhaz` with the dataset's descending-time ``order`` given."""
+    sets = _risk_sets(data, order)
+    w = np.exp(sets.linear_predictor(beta_hat[None])) if data.k else np.ones((1, order.size))
     # blocks are in descending time; flip to ascending for the curve
     increments = (sets.d / sets.risk_sums(w))[::-1]
     return BreslowCurve(
-        event_times=t.ravel()[sets.ends][::-1],
+        event_times=data.times[order[sets.ends]][::-1],
         increments=increments,
         cumulative=np.cumsum(increments),
     )

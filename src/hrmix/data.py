@@ -48,6 +48,18 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """A count or seed as an int: a Python or numpy integer, or an integral
+    float such as 400.0.  A bool, a fractional or non-finite float and a
+    non-numeric value raise ``ValueError``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -240,7 +252,9 @@ class ScenarioSpec:
     ``trial_effects`` holds one log hazard-ratio vector per trial,
     ``sizes`` the per-trial subject counts (so the mixing proportion is
     sizes[0] / sum(sizes) in the two-trial case), and ``baseline`` the
-    inverse cumulative hazard used for inverse-transform sampling.
+    inverse cumulative hazard used for inverse-transform sampling.  The
+    sizes and the seed must be integers; an integral float such as 400.0
+    is accepted, and a bool or a fractional value raises ``ValueError``.
     """
 
     trial_effects: tuple
@@ -252,7 +266,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         effects = tuple(_frozen(np.atleast_1d(np.asarray(e, dtype=float))) for e in self.trial_effects)
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer(s, "sizes") for s in self.sizes)
+        seed = _integer(self.seed, "seed")
         if len(effects) < 2:
             raise ValueError("scenario needs at least 2 trials")
         if len(sizes) != len(effects):
@@ -264,11 +279,11 @@ class ScenarioSpec:
             raise DimensionMismatchError(
                 f"effect vectors must have dimension {k} to match the covariate law"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "trial_effects", effects)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def mixing_p(self) -> float:
@@ -606,6 +621,10 @@ def read_patient_csv(path) -> list[TrialDataset]:
       ``line`` is the CSV record number: the header is record 1, blank
       records count, and a quoted line break does not start a new record.
 
+    The records are held once, as one table in trial order, and each
+    trial's columns, ``trial_ids`` included, are read-only views of its
+    rows of that table.  :func:`pool` of the trials copies them.
+
     Two readers share the work and give the same datasets and errors.
     Records are read a block of lines at a time.  numpy's C reader
     (``np.loadtxt``) parses a block of plain ASCII lines without quotes,
@@ -614,6 +633,33 @@ def read_patient_csv(path) -> list[TrialDataset]:
     over-long line to the end of the file; a block with other characters;
     and a block numpy rejects or that fails a check, record by record
     where it must name the bad one.
+    """
+    table, sizes = _read_trial_table(path)
+    trials = []
+    lo = 0
+    for label, size in sizes.items():
+        rows = slice(lo, lo + size)
+        trials.append(
+            TrialDataset(
+                times=table.times[rows],
+                events=table.events[rows],
+                covariates=table.covariates[rows],
+                trial_ids=table.trial_ids[rows],
+                label=label,
+            )
+        )
+        lo += size
+    return trials
+
+
+def _read_trial_table(path) -> tuple[TrialDataset | None, dict[str, int]]:
+    """Every record of a patient-line CSV as one dataset, in trial order.
+
+    Returns the table, labelled ``"pooled"`` as :func:`pool` labels it,
+    and each trial id's record count in order of first appearance; trial
+    i is the next block of that many rows, its records in file order.  A
+    file without records gives ``(None, {})``.  See
+    :func:`read_patient_csv` for the format.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         try:
@@ -639,22 +685,25 @@ def read_patient_csv(path) -> list[TrialDataset]:
             code = np.fromiter(map(codes.__getitem__, ids), np.intp, count=len(ids))
             parts.append((code, times, events, cov))
     if not codes:
-        return []
-    code, times, events, cov = (np.concatenate(col) for col in zip(*parts))
+        return None, {}
+    code = np.concatenate([part[0] for part in parts])
     order = np.argsort(code, kind="stable")
-    bounds = np.cumsum(np.bincount(code))[:-1]
-    return [
-        TrialDataset(
-            times=times[idx],
-            events=events[idx],
-            covariates=cov[idx],
-            # np.full would pass tid through a numpy string, which drops
-            # trailing NUL characters
-            trial_ids=np.array([tid] * idx.size, dtype=object),
-            label=tid,
-        )
-        for tid, idx in zip(codes, np.split(order, bounds))
-    ]
+    sizes = np.bincount(code)
+    del code
+    # one column at a time, so that besides the blocks only one unordered
+    # column is held
+    times, events, cov = (np.concatenate([part[j] for part in parts])[order] for j in (1, 2, 3))
+    del parts
+    table = TrialDataset(
+        times=times,
+        events=events,
+        covariates=cov,
+        # an object array keeps each trial id as read: np.full would pass
+        # it through a numpy string, which drops trailing NUL characters
+        trial_ids=np.repeat(np.array(list(codes), dtype=object), sizes),
+        label="pooled",
+    )
+    return table, dict(zip(codes, sizes.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +760,10 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
 
 def _json_int(value, name: str) -> int:
     """An integer field of a JSON file; an integral float such as 400.0 passes too."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise SchemaError(f"{name} must be an integer, got {value!r}")
+    try:
+        return _integer(value, name)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def scenario_from_json(obj) -> ScenarioSpec:

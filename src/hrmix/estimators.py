@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovariateDistribution
+from .data import CovariateDistribution, _integer
 from .errors import (
     DimensionMismatchError,
     MissingVarianceError,
@@ -71,7 +71,11 @@ _HM_TOL = 1e-12  # the harmonic-mean score is a finite sum
 
 @dataclass(frozen=True)
 class TrialAggregate:
-    """Per-trial summary: finite log-HR estimate and covariance, subject count."""
+    """Per-trial summary: finite log-HR estimate and covariance, subject count.
+
+    ``size`` must be a positive integer; an integral float such as 400.0 is
+    accepted, and a bool or a fractional value raises ``ValueError``.
+    """
 
     beta_hat: np.ndarray
     covariance: np.ndarray
@@ -90,11 +94,12 @@ class TrialAggregate:
             raise ValueError("variances must be nonnegative")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        if self.size < 1:
+        size = _integer(self.size, "size")
+        if size < 1:
             raise ValueError("size must be positive")
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", size)
 
     @property
     def k(self) -> int:

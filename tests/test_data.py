@@ -655,6 +655,35 @@ class TestScenarioJson:
                 trial_effects=[[0.0], [0.1]], sizes=[10, 0], covariate_dist=bernoulli_half
             )
 
+    @pytest.mark.parametrize(
+        "sizes, seed, name",
+        [
+            ((400.5, 170), 0, "sizes"),
+            ((True, 170), 0, "sizes"),
+            ((400, np.float64(170.2)), 0, "sizes"),
+            (("400", 170), 0, "sizes"),
+            ((400, 170), 1.5, "seed"),
+            ((400, 170), True, "seed"),
+            ((400, 170), "7", "seed"),
+            ((400, 170), math.nan, "seed"),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, bernoulli_half, sizes, seed, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScenarioSpec(
+                trial_effects=[[0.0], [0.1]], sizes=sizes, covariate_dist=bernoulli_half, seed=seed
+            )
+
+    def test_integral_counts_and_seed_are_ints(self, bernoulli_half):
+        spec = ScenarioSpec(
+            trial_effects=[[0.0], [0.1]],
+            sizes=(np.int32(400), 170.0),
+            covariate_dist=bernoulli_half,
+            seed=np.uint64(2**63),
+        )
+        assert spec.sizes == (400, 170) and spec.seed == 2**63
+        assert all(type(v) is int for v in spec.sizes + (spec.seed,))
+
     def test_mixing_p(self, example3_scenario):
         assert example3_scenario.mixing_p == pytest.approx(400 / 570)
 

@@ -118,6 +118,16 @@ class TestLinearCombiners:
         with pytest.raises(ValueError, match="finite|nonnegative"):
             TrialAggregate(beta_hat=beta, covariance=cov, size=100)
 
+    @pytest.mark.parametrize("size", [400.7, True, "400", math.nan, math.inf])
+    def test_aggregate_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            TrialAggregate(beta_hat=[0.1], covariance=[[0.01]], size=size)
+
+    @pytest.mark.parametrize("size", [400, 400.0, np.int64(400), np.float32(400.0)])
+    def test_aggregate_integral_size_is_an_int(self, size):
+        agg = TrialAggregate(beta_hat=[0.1], covariance=[[0.01]], size=size)
+        assert agg.size == 400 and type(agg.size) is int
+
     def test_zero_variance_inverse_weighting_rejected(self):
         aggs = [_agg(0.1, 0.0, 100), _agg(0.2, 0.05, 100)]
         with pytest.raises(SingularVarianceError):
