@@ -57,7 +57,6 @@ __all__ = [
     "kl_gradient",
     "write_sweep_csv",
     "write_grid_csv",
-    "write_ordering_csv",
     "write_breslow_csv",
 ]
 
@@ -722,42 +721,6 @@ def write_grid_csv(result: GridResult, path) -> None:
                         _fmt(result.pct_expl_vs_hm[i, j]),
                     ]
                 )
-
-
-def write_ordering_csv(reports, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "a",
-                "b",
-                "p",
-                "q",
-                "c_hm",
-                "exp_theta_l",
-                "c_l",
-                "c_pl",
-                "chain_hm_holds",
-                "chain_pl_holds",
-                "boundary",
-            ]
-        )
-        for r in reports:
-            w.writerow(
-                [
-                    _fmt(r.a),
-                    _fmt(r.b),
-                    _fmt(r.p),
-                    _fmt(r.q),
-                    _fmt(r.c_hm),
-                    _fmt(r.exp_theta_l),
-                    _fmt(r.c_l),
-                    _fmt(r.c_pl),
-                    int(r.chain_hm_holds),
-                    int(r.chain_pl_holds),
-                    int(r.boundary),
-                ]
-            )
 
 
 def write_breslow_csv(comparison: BreslowComparison, path) -> None:

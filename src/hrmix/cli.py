@@ -58,10 +58,6 @@ def _print_json(obj) -> None:
 
 
 def _cmd_solve(args) -> int:
-    if args.a <= 0 or args.b <= 0:
-        raise ValueError("--a and --b must be positive")
-    if not (0 < args.p < 1 and 0 < args.q < 1):
-        raise ValueError("--p and --q must lie in (0, 1)")
     out = {
         "a": args.a,
         "b": args.b,
@@ -73,8 +69,6 @@ def _cmd_solve(args) -> int:
         "c_l": args.p * args.a + (1 - args.p) * args.b,
     }
     if args.tmax_H is not None:
-        if args.tmax_H <= 0:
-            raise ValueError("--tmax-H must be positive")
         out["H"] = args.tmax_H
         out["c_censored"] = estimators.solve_censored_binary(
             args.a, args.b, args.p, args.q, args.tmax_H
@@ -265,10 +259,6 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_breslow(args) -> int:
-    if args.a <= 0 or args.b <= 0:
-        raise ValueError("--a and --b must be positive")
-    if not 0 < args.p < 1:
-        raise ValueError("--p must lie in (0, 1)")
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise ValueError("--t-max must be positive and finite")
     if args.points < 1:

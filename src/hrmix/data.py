@@ -133,8 +133,8 @@ class TrialDataset:
 class CovariateDistribution:
     """Finite discrete law of the covariate vector Z.
 
-    ``support`` is an (m, k) matrix of distinct points and ``probs`` the
-    matching probabilities (positive, summing to one within 1e-12).  All
+    ``support`` is an (m, k) matrix of distinct finite points and ``probs``
+    the matching probabilities (positive, summing to one within 1e-12).  All
     expectations over Z reduce to finite sums against this table.
     """
 
@@ -145,9 +145,13 @@ class CovariateDistribution:
         support = np.asarray(self.support, dtype=float)
         if support.ndim != 2 or support.shape[0] == 0:
             raise ValueError("support must be a nonempty (m, k) array")
+        if not np.all(np.isfinite(support)):
+            raise ValueError("support points must be finite")
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (support.shape[0],):
             raise DimensionMismatchError("probs length must match support")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs <= 0):
             raise ValueError("probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -249,7 +253,7 @@ Baseline = IdentityBaseline | WeibullBaseline
 class ScenarioSpec:
     """Full generative description of a multi-trial simulation.
 
-    ``trial_effects`` holds one log hazard-ratio vector per trial,
+    ``trial_effects`` holds one finite log hazard-ratio vector per trial,
     ``sizes`` the per-trial subject counts (so the mixing proportion is
     sizes[0] / sum(sizes) in the two-trial case), and ``baseline`` the
     inverse cumulative hazard used for inverse-transform sampling.  The
@@ -270,6 +274,8 @@ class ScenarioSpec:
         seed = _integer(self.seed, "seed")
         if len(effects) < 2:
             raise ValueError("scenario needs at least 2 trials")
+        if not all(np.all(np.isfinite(e)) for e in effects):
+            raise ValueError("trial effects must be finite")
         if len(sizes) != len(effects):
             raise DimensionMismatchError("one size per trial effect required")
         if any(s < 1 for s in sizes):

@@ -261,12 +261,18 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
 # ---------------------------------------------------------------------------
 
 
-def _validate_binary_args(a, b, p, q):
-    a, b, p, q = (np.asarray(v, dtype=float) for v in (a, b, p, q))
+def _validate_binary_args(a, b, p, q=None):
+    """ValueError unless a and b are positive and finite and p and q, when
+    given, lie in (0, 1); the message names p or q."""
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
     if not (np.all(np.isfinite(a) & (a > 0)) and np.all(np.isfinite(b) & (b > 0))):
         raise ValueError("hazard ratios must be positive and finite")
-    if not (np.all((0 < p) & (p < 1)) and np.all((0 < q) & (q < 1))):
-        raise ValueError("p and q must lie in (0, 1)")
+    for name, v in (("p", p), ("q", q)):
+        if v is None:
+            continue
+        v = np.asarray(v, dtype=float)
+        if not np.all((0 < v) & (v < 1)):
+            raise ValueError(f"{name} must lie in (0, 1)")
 
 
 # Fixed composite GK15 rule for the pooled limits.  The first panel is
@@ -653,11 +659,8 @@ def c_hm_binary(a, b, p):
     ``a``, ``b`` and ``p`` broadcast against each other as in
     :func:`solve_cpl_binary`: scalars give a float, arrays an array.
     """
+    _validate_binary_args(a, b, p)
     a, b, p = (np.asarray(v, dtype=float) for v in (a, b, p))
-    if not (np.all(a > 0) and np.all(b > 0)):
-        raise ValueError("hazard ratios must be positive")
-    if not np.all((0 < p) & (p < 1)):
-        raise ValueError("p must lie in (0, 1)")
     out = 1.0 / (p / a + (1 - p) / b)
     return float(out) if out.ndim == 0 else out
 

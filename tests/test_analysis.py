@@ -24,7 +24,6 @@ from hrmix import (
 from hrmix.analysis import (
     write_breslow_csv,
     write_grid_csv,
-    write_ordering_csv,
     write_sweep_csv,
 )
 from hrmix.data import scenario_with
@@ -259,13 +258,6 @@ class TestCsvWriters:
         write_grid_csv(table1_grid(), path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 22  # header + 21 populated cells
-
-    def test_ordering_csv(self, tmp_path):
-        reports = [proposition3_check(0.4, 0.9, 0.3, 0.6), proposition3_check(0.5, 1.0, 0.5, 0.5)]
-        path = tmp_path / "ordering.csv"
-        write_ordering_csv(reports, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
 
     def test_breslow_csv(self, tmp_path):
         c_star = solve_cpl_binary(0.5, 1.0, 0.5, 0.5)

@@ -290,6 +290,13 @@ class TestBatching:
         with pytest.raises(ValueError):
             solve_censored_binary(0.5, 1.0, 0.5, 0.5, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "p, q, name", [(0.0, 0.5, "p"), (np.nan, 0.5, "p"), (0.5, 1.0, "q"), (0.5, [0.2, -0.1], "q")]
+    )
+    def test_message_names_p_or_q(self, p, q, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\)$"):
+            solve_cpl_binary(0.5, 1.0, p, q)
+
 
 class TestCensoredMonotone:
     @given(

@@ -1,9 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import math
-import os
-import subprocess
-import sys
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hrmix import NonConvergenceError, TrialDataset, scenario_to_json
-from hrmix.cli import _empirical_dist, main
+from hrmix.cli import _build_parser, _empirical_dist, main
 from hrmix.data import scenario_with
 
 
@@ -29,6 +30,14 @@ def _run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     return json.loads(out)
+
+
+def _exit_status(argv):
+    """main's exit status, counting argparse's own rejection of a value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSolve:
@@ -67,6 +76,64 @@ class TestSolve:
 
         monkeypatch.setattr(cli_mod.estimators, "solve_cpl_binary", boom)
         assert main(["solve", "--a", "0.5", "--b", "1.0", "--p", "0.5", "--q", "0.5"]) == 3
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            *[
+                (f, v, "hazard ratios must be positive and finite")
+                for f in ("--a", "--b")
+                for v in ("0", "-1", "nan", "inf")
+            ],
+            *[("--p", v, "p must lie in (0, 1)") for v in ("0", "-0.5", "nan", "inf", "1")],
+            *[("--q", v, "q must lie in (0, 1)") for v in ("0", "-0.5", "nan", "inf", "1")],
+            *[("--tmax-H", v, "H must be positive") for v in ("0", "-1", "nan", "-inf")],
+        ],
+    )
+    def test_out_of_domain_exits_2(self, capsys, flag, value, error):
+        argv = ["solve", "--a=0.5", "--b=1.0", "--p=0.5", "--q=0.5", "--tmax-H=1.0"]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"hrmix: input error: {error}\n"
+
+
+# README's domain table for solve: hazard ratios positive and finite, p and q
+# in (0, 1), --tmax-H positive (inf included) or absent
+_legal_hr = st.floats(0.05, 20.0)
+_legal_unit = st.floats(0.001, 0.999)
+_legal_H = st.one_of(st.none(), st.floats(0.01, 100.0), st.sampled_from([50.0, math.inf]))
+
+
+def _or_illegal(legal, *illegal):
+    return st.one_of(legal, st.sampled_from([math.nan, -math.inf, 0.0, -0.0, -1.0, *illegal]))
+
+
+@given(
+    a=_or_illegal(_legal_hr, math.inf),
+    b=_or_illegal(_legal_hr, math.inf),
+    p=_or_illegal(_legal_unit, math.inf, 1.0, 1.5),
+    q=_or_illegal(_legal_unit, math.inf, 1.0, 1.5),
+    H=_or_illegal(_legal_H),
+)
+@settings(max_examples=100, deadline=None)
+def test_solve_exits_2_exactly_outside_its_domain(a, b, p, q, H):
+    argv = ["solve", f"--a={a!r}", f"--b={b!r}", f"--p={p!r}", f"--q={q!r}"]
+    if H is not None:
+        argv.append(f"--tmax-H={H!r}")
+    legal = (
+        all(math.isfinite(v) and v > 0 for v in (a, b))
+        and all(0 < v < 1 for v in (p, q))
+        and (H is None or H > 0)
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == (0 if legal else 2), err.getvalue()
+    if legal:
+        assert math.isfinite(json.loads(out.getvalue())["c_pl"])
+    else:
+        assert out.getvalue() == ""
 
 
 _LAW = {"support": [[0.0], [1.0]], "probs": [0.5, 0.5]}
@@ -156,6 +223,23 @@ class TestEstimate:
         path = self._aggregates_file(tmp_path, -0.4, -0.4)
         assert main(["estimate", "--aggregates", path, "--null", null]) == 2
         assert "--null must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "law, error",
+        [
+            ({"support": [[0.0], [1.0]], "probs": [math.nan, 0.5]}, "probabilities must be finite"),
+            ({"support": [[0.0], [math.nan]], "probs": [0.5, 0.5]}, "support points must be finite"),
+            ({"support": [[0.0], [math.inf]], "probs": [0.5, 0.5]}, "support points must be finite"),
+        ],
+        ids=["probs-nan", "support-nan", "support-inf"],
+    )
+    def test_non_finite_law_is_input_error(self, capsys, tmp_path, law, error):
+        path = self._aggregates_file(tmp_path, -0.4, -0.4)
+        payload = json.loads(Path(path).read_text())
+        payload["covariate_dist"] = law
+        Path(path).write_text(json.dumps(payload))
+        assert main(["estimate", "--aggregates", path]) == 2
+        assert capsys.readouterr() == ("", f"hrmix: input error: {error}\n")
 
     def test_oversized_trial_id_is_input_error(self, capsys, tmp_path):
         lines = tmp_path / "lines.csv"
@@ -277,6 +361,41 @@ class TestSimulateAndSweep:
         path.write_text(json.dumps(config))
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "one size per trial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("trial_effects", [[math.nan], [-0.2]], "trial effects must be finite"),
+            ("trial_effects", [[-1.2], [math.inf]], "trial effects must be finite"),
+            ("trial_effects", [[-math.inf], [-0.2]], "trial effects must be finite"),
+            (
+                "covariate_dist",
+                {"support": [[0.0], [math.inf]], "probs": [0.5, 0.5]},
+                "support points must be finite",
+            ),
+            (
+                "covariate_dist",
+                {"support": [[0.0], [1.0]], "probs": [math.nan, 0.5]},
+                "probabilities must be finite",
+            ),
+        ],
+        ids=["effect-nan", "effect-inf", "effect-minus-inf", "support-inf", "probs-nan"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_non_finite_scenario_is_input_error(
+        self, capsys, tmp_path, example3_scenario, command, field, value, error
+    ):
+        config = scenario_to_json(example3_scenario)
+        config[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--tmax-grid", "1,inf", "--replicates", "100"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"hrmix: input error: {error}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["nan,inf", "1,nan"])
     def test_sweep_rejects_non_positive_study_end(self, capsys, tmp_path, scenario_file, grid):
@@ -423,17 +542,47 @@ class TestBreslowCommand:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
-
-def test_censoring_bias_script_writes_csv(tmp_path):
-    # the reproduction scripts are run by no other test
-    root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "reproduce_censoring_bias.py"
-    args = ["--replicates", "100", "--tmax-grid", "1,inf", "--out-dir", str(tmp_path)]
-    subprocess.run(
-        [sys.executable, str(script), *args],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True,
-        check=True,
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            *[(f, v) for f in ("--a", "--b", "--t-max") for v in ("0", "-1", "nan", "inf")],
+            *[("--p", v) for v in ("0", "-0.5", "nan", "inf", "1")],
+            *[("--subjects", v) for v in ("0", "-5", "1", "nan", "inf")],
+            *[("--seed", v) for v in ("-1", str(2**64), "nan", "inf")],
+            *[(f, v) for f in ("--window", "--points") for v in ("0", "-1", "nan", "inf")],
+        ],
     )
-    with open(tmp_path / "censoring_bias_sweep.csv", newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 2
+    def test_out_of_domain_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "breslow.csv"
+        argv = ["breslow", "--a=0.5", "--b=1.0", "--p=0.5", "--subjects=4000", f"--out={out}"]
+        assert _exit_status(argv + [f"{flag}={value}"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_p_message_names_p_alone(self, capsys, tmp_path):
+        # breslow has no --q, so its message must not name one
+        argv = ["breslow", "--a=0.5", "--b=1.0", "--p=0", f"--out={tmp_path / 'b.csv'}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "hrmix: input error: p must lie in (0, 1)\n"
+
+
+def _readme_commands():
+    """Every ``hrmix`` command in README's ``sh`` blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["hrmix"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: hrmix {shlex.join(argv)}")

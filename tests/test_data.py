@@ -51,6 +51,21 @@ class TestCovariateDistribution:
         with pytest.raises(ValueError):
             CovariateDistribution(support=[[0.0], [1.0]], probs=[1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "support, probs, error",
+        [
+            ([[0.0], [1.0]], [math.nan, 0.5], "probabilities must be finite"),
+            ([[0.0], [1.0]], [math.nan, math.nan], "probabilities must be finite"),
+            ([[0.0], [1.0]], [math.inf, 0.5], "probabilities must be finite"),
+            ([[0.0], [math.inf]], [0.5, 0.5], "support points must be finite"),
+            ([[0.0], [math.nan]], [0.5, 0.5], "support points must be finite"),
+            ([[0.0, -math.inf], [1.0, 0.0]], [0.5, 0.5], "support points must be finite"),
+        ],
+    )
+    def test_rejects_non_finite(self, support, probs, error):
+        with pytest.raises(ValueError, match=error):
+            CovariateDistribution(support=support, probs=probs)
+
     def test_two_covariates_not_binary_arm(self):
         d = CovariateDistribution(
             support=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], probs=[0.25] * 4
@@ -653,6 +668,13 @@ class TestScenarioJson:
         with pytest.raises(ValueError):
             ScenarioSpec(
                 trial_effects=[[0.0], [0.1]], sizes=[10, 0], covariate_dist=bernoulli_half
+            )
+
+    @pytest.mark.parametrize("effect", [math.nan, math.inf, -math.inf])
+    def test_effects_must_be_finite(self, bernoulli_half, effect):
+        with pytest.raises(ValueError, match="trial effects must be finite"):
+            ScenarioSpec(
+                trial_effects=[[0.0], [effect]], sizes=[10, 10], covariate_dist=bernoulli_half
             )
 
     @pytest.mark.parametrize(

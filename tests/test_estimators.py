@@ -392,6 +392,11 @@ class TestHarmonicMean:
         assert c_hm_binary(0.9, 0.9, 0.42) == pytest.approx(0.9, abs=1e-15)
         assert c_hm_binary(0.5, 3.0, 0.5) == pytest.approx(6.0 / 7.0, abs=1e-15)
 
+    @pytest.mark.parametrize("a, b", [(np.inf, 1.0), (np.inf, np.inf), (0.5, np.nan), (0.0, 1.0)])
+    def test_rejects_hazard_ratios_outside_domain(self, a, b):
+        with pytest.raises(ValueError, match="hazard ratios must be positive and finite"):
+            c_hm_binary(a, b, 0.5)
+
     def test_printed_table_noise_stays_inside_tolerance(self):
         # the reference table prints 0.662 and 0.847 for these two cells
         assert c_hm_binary(0.5, 1.0, 0.5) == pytest.approx(0.662, abs=0.015)
