@@ -4,12 +4,12 @@ Covers the ordering checks between the combined-effect definitions, the
 Monte Carlo censoring-bias sweep, the overall-hazard-ratio comparison
 grids, the pooled-baseline hazard limit with its simulation check, and
 the information-projection objective that characterizes the harmonic-mean
-effect.  Everything here emits plain data (arrays and CSV); no plotting.
+effect.  Everything here emits plain data (arrays, and CSV files through
+``data._write_csv``); no plotting.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -29,6 +29,7 @@ from .data import (
     ScenarioSpec,
     TrialDataset,
     _draw_latent,
+    _write_csv,
     pool,
     replicate_stream,
 )
@@ -436,10 +437,10 @@ def figure2_grid(
         raise ValueError("resolution must be positive and finite")
     if not np.all(np.isfinite([*a_range, *b_range])):
         raise ValueError("grid ranges must be finite")
+    if a_range[0] > a_range[1] or b_range[0] > b_range[1]:
+        raise ValueError("each grid range needs its minimum at or below its maximum")
     a_values = np.round(np.arange(a_range[0], a_range[1] + resolution / 2, resolution), 12)
     b_values = np.round(np.arange(b_range[0], b_range[1] + resolution / 2, resolution), 12)
-    if a_values.size == 0 or b_values.size == 0:
-        raise ValueError("each grid range needs its minimum at or below its maximum")
     if np.any(a_values <= 0) or np.any(b_values <= 0):
         raise ValueError("grid ranges must be positive")
     populated = np.ones((a_values.size, b_values.size), dtype=bool)
@@ -650,84 +651,29 @@ def kl_gradient(theta, alpha, beta, p: float, dist: CovariateDistribution) -> np
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "t_max",
-                "theta_pl_mean",
-                "theta_pl_p2_5",
-                "theta_pl_p97_5",
-                "theta_m_mean",
-                "theta_m_p2_5",
-                "theta_m_p97_5",
-                "censored_fraction",
-                "n_failed",
-                "replicates",
-            ]
-        )
-        for i in range(result.t_max.size):
-            w.writerow(
-                [
-                    _fmt(result.t_max[i]),
-                    _fmt(result.theta_pl_mean[i]),
-                    _fmt(result.theta_pl_lo[i]),
-                    _fmt(result.theta_pl_hi[i]),
-                    _fmt(result.theta_m_mean[i]),
-                    _fmt(result.theta_m_lo[i]),
-                    _fmt(result.theta_m_hi[i]),
-                    _fmt(result.censored_fraction[i]),
-                    int(result.n_failed[i]),
-                    result.replicates,
-                ]
-            )
+    r = result
+    header = ["t_max", "theta_pl_mean", "theta_pl_p2_5", "theta_pl_p97_5", "theta_m_mean"]
+    header += ["theta_m_p2_5", "theta_m_p97_5", "censored_fraction", "n_failed", "replicates"]
+    columns = [r.t_max, r.theta_pl_mean, r.theta_pl_lo, r.theta_pl_hi, r.theta_m_mean]
+    columns += [r.theta_m_lo, r.theta_m_hi, r.censored_fraction, r.n_failed]
+    _write_csv(path, header, columns + [np.full(r.t_max.size, r.replicates)])
 
 
 def write_grid_csv(result: GridResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "a",
-                "b",
-                "c_hm",
-                "c_pl",
-                "exp_theta_l",
-                "c_l",
-                "pct_hm_vs_pl",
-                "pct_expl_vs_pl",
-                "pct_expl_vs_hm",
-            ]
-        )
-        for i, a in enumerate(result.a_values):
-            for j, b in enumerate(result.b_values):
-                if not np.isfinite(result.c_pl[i, j]):
-                    continue
-                w.writerow(
-                    [
-                        _fmt(a),
-                        _fmt(b),
-                        _fmt(result.c_hm[i, j]),
-                        _fmt(result.c_pl[i, j]),
-                        _fmt(result.exp_theta_l[i, j]),
-                        _fmt(result.c_l[i, j]),
-                        _fmt(result.pct_hm_vs_pl[i, j]),
-                        _fmt(result.pct_expl_vs_pl[i, j]),
-                        _fmt(result.pct_expl_vs_hm[i, j]),
-                    ]
-                )
+    """One row per populated cell (finite ``c_pl``), in row-major (a, b) order."""
+    i, j = np.nonzero(np.isfinite(result.c_pl))
+    surfaces = ["c_hm", "c_pl", "exp_theta_l", "c_l"]
+    surfaces += ["pct_hm_vs_pl", "pct_expl_vs_pl", "pct_expl_vs_hm"]
+    columns = [getattr(result, name)[i, j] for name in surfaces]
+    _write_csv(path, ["a", "b", *surfaces], [result.a_values[i], result.b_values[j], *columns])
 
 
 def write_breslow_csv(comparison: BreslowComparison, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["series", "t", "value"])
-        for t, v in zip(comparison.t_grid, comparison.analytic):
-            w.writerow(["analytic", _fmt(t), _fmt(v)])
-        for t, v in zip(comparison.block_times, comparison.block_hazard):
-            w.writerow(["empirical", _fmt(t), _fmt(v)])
+    """The analytic series on ``t_grid``, then the empirical blocks."""
+    c = comparison
+    sizes = [c.t_grid.size, c.block_times.size]
+    series = np.repeat(np.array(["analytic", "empirical"], dtype=object), sizes)
+    times = np.concatenate([c.t_grid, c.block_times])
+    values = np.concatenate([c.analytic, c.block_hazard])
+    _write_csv(path, ["series", "t", "value"], [series, times, values])

@@ -429,17 +429,24 @@ def pool(trials: Sequence[TrialDataset]) -> TrialDataset:
 # ---------------------------------------------------------------------------
 
 
-def write_patient_csv(datasets: Sequence[TrialDataset], path) -> None:
-    """Write datasets to the patient-line CSV schema (UTF-8)."""
-    k = datasets[0].k if datasets else 0
-    if any(d.k != k for d in datasets):
-        raise DimensionMismatchError("datasets disagree on covariate dimension")
+def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """The package's one CSV writer: equal-length 1-D arrays as columns, UTF-8,
+    ``\\r\\n`` line ends.  Floats print as their shortest round-trip ``repr``,
+    integers as ints, and object columns (trial ids) as the objects they hold;
+    text stays in object arrays, since numpy strings drop trailing NULs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)])
-        for d in datasets:
-            for t, e, z, tid in zip(d.times, d.events, d.covariates, d.trial_ids):
-                writer.writerow([tid, repr(float(t)), int(e)] + [repr(float(v)) for v in z])
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
+
+
+def write_patient_csv(datasets: Sequence[TrialDataset], path) -> None:
+    """Write datasets to the patient-line CSV schema (UTF-8)."""
+    columns, k = [], 0
+    if datasets:
+        d = pool(datasets)  # DimensionMismatchError unless the trials share k
+        columns, k = [d.trial_ids, d.times, d.events, *d.covariates.T], d.k
+    _write_csv(path, ["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)], columns)
 
 
 # Records converted and checked together.  Python row lists cost far more

@@ -658,10 +658,14 @@ def c_hm_binary(a, b, p):
 
     ``a``, ``b`` and ``p`` broadcast against each other as in
     :func:`solve_cpl_binary`: scalars give a float, arrays an array.
+    Where ``p / a + (1 - p) / b`` overflows, it is taken in units of min(a, b).
     """
     _validate_binary_args(a, b, p)
     a, b, p = (np.asarray(v, dtype=float) for v in (a, b, p))
-    out = 1.0 / (p / a + (1 - p) / b)
+    lo = np.minimum(a, b)
+    with np.errstate(over="ignore"):
+        s = p / a + (1 - p) / b
+        out = np.where(np.isfinite(s), 1.0 / s, lo / (p * (lo / a) + (1 - p) * (lo / b)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -713,7 +717,9 @@ def var_theta_hm_binary(
         raise ValueError("variances must be nonnegative")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
-    ia, ib = 1.0 / a_hat, 1.0 / b_hat
+    # in units of min(a_hat, b_hat), which the ratio does not see: no overflow
+    lo = min(a_hat, b_hat)
+    ia, ib = lo / a_hat, lo / b_hat
     num = p**2 * ia**2 * var_a + (1 - p) ** 2 * ib**2 * var_b
     den = (p * ia + (1 - p) * ib) ** 2
     return num / den

@@ -243,21 +243,74 @@ class TestKlObjective:
         assert np.all(second < 0)
 
 
+def _csv_text(header: str, rows) -> str:
+    """What every writer promises: fields joined by commas, \\r\\n line ends."""
+    return "".join(line + "\r\n" for line in [header, *(",".join(row) for row in rows)])
+
+
 class TestCsvWriters:
+    """Each writer's file, byte for byte: header, row order, floats as repr."""
+
     def test_sweep_csv(self, tmp_path, example3_scenario):
-        result = bias_sweep(example3_scenario, [1.0, math.inf], replicates=100)
+        # tiny trials: every fit fails at t_max = 0.01, so that row is nan
+        tiny = scenario_with(example3_scenario, sizes=(7, 5))
+        result = bias_sweep(tiny, [0.01, 1.0, math.inf], replicates=100)
+        assert result.n_failed[0] == 100
         path = tmp_path / "sweep.csv"
         write_sweep_csv(result, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("t_max,theta_pl_mean")
-        assert len(lines) == 3
-        assert lines[2].startswith("inf,")
+        fields = [
+            result.t_max,
+            result.theta_pl_mean,
+            result.theta_pl_lo,
+            result.theta_pl_hi,
+            result.theta_m_mean,
+            result.theta_m_lo,
+            result.theta_m_hi,
+            result.censored_fraction,
+        ]
+        rows = [
+            [repr(float(f[i])) for f in fields] + [str(int(result.n_failed[i])), "100"]
+            for i in range(3)
+        ]
+        assert rows[0][:8] == ["0.01"] + ["nan"] * 7 and rows[2][0] == "inf"
+        header = (
+            "t_max,theta_pl_mean,theta_pl_p2_5,theta_pl_p97_5,theta_m_mean,"
+            "theta_m_p2_5,theta_m_p97_5,censored_fraction,n_failed,replicates"
+        )
+        assert path.read_bytes().decode("utf-8") == _csv_text(header, rows)
+
+    @staticmethod
+    def _grid_text(result) -> str:
+        surfaces = ["c_hm", "c_pl", "exp_theta_l", "c_l"]
+        surfaces += ["pct_hm_vs_pl", "pct_expl_vs_pl", "pct_expl_vs_hm"]
+        rows = [
+            [repr(float(a)), repr(float(b))]
+            + [repr(float(getattr(result, s)[i, j])) for s in surfaces]
+            for i, a in enumerate(result.a_values)
+            for j, b in enumerate(result.b_values)
+            if np.isfinite(result.c_pl[i, j])
+        ]
+        header = "a,b,c_hm,c_pl,exp_theta_l,c_l,pct_hm_vs_pl,pct_expl_vs_pl,pct_expl_vs_hm"
+        return _csv_text(header, rows)
 
     def test_grid_csv(self, tmp_path):
         path = tmp_path / "table.csv"
         write_grid_csv(table1_grid(), path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 22  # header + 21 populated cells
+        text = path.read_bytes().decode("utf-8")
+        assert text == self._grid_text(table1_grid())
+        lines = text.split("\r\n")
+        assert len(lines) == 23 and lines[-1] == ""  # header + 21 populated cells
+        assert lines[1].startswith("0.5,0.5,") and lines[2].startswith("0.5,1.0,")
+
+    def test_rectangular_grid_csv(self, tmp_path):
+        result = figure2_grid((0.5, 1.0), (0.25, 0.75), 0.25, p=0.3)
+        path = tmp_path / "grid.csv"
+        write_grid_csv(result, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == self._grid_text(result)
+        # 3 x 3 cells, b varying fastest
+        cells = [line.split(",")[:2] for line in text.split("\r\n")[1:-1]]
+        assert cells == [[a, b] for a in ("0.5", "0.75", "1.0") for b in ("0.25", "0.5", "0.75")]
 
     def test_breslow_csv(self, tmp_path):
         c_star = solve_cpl_binary(0.5, 1.0, 0.5, 0.5)
@@ -266,5 +319,13 @@ class TestCsvWriters:
         )
         path = tmp_path / "breslow.csv"
         write_breslow_csv(comparison, path)
-        text = path.read_text()
-        assert "analytic" in text and "empirical" in text
+        rows = [
+            ["analytic", repr(float(t)), repr(float(v))]
+            for t, v in zip(comparison.t_grid, comparison.analytic)
+        ]
+        rows += [
+            ["empirical", repr(float(t)), repr(float(v))]
+            for t, v in zip(comparison.block_times, comparison.block_hazard)
+        ]
+        assert rows[0][1] == "0.0" and len(rows) > 5
+        assert path.read_bytes().decode("utf-8") == _csv_text("series,t,value", rows)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,12 @@ class TestSolve:
             ["solve", "--a", "0.3", "--b", "0.8", "--p", "0.7", "--q", "0.5", "--tmax-H", "50"],
         )
         assert out["c_censored"] == pytest.approx(out["c_pl"], abs=1e-6)
+
+    def test_subnormal_hazard_ratio(self, capsys):
+        # p / a overflows in the direct harmonic mean; warnings are errors here
+        out = _run_json(capsys, ["solve", "--a", "1e-320", "--b", "1", "--p", "0.5", "--q", "0.5"])
+        assert 1e-320 <= out["c_hm"] <= 1.0
+        assert out["c_hm"] == pytest.approx(2e-320, rel=1e-3)
 
     def test_invalid_input_exit_code(self, capsys):
         assert main(["solve", "--a", "-1", "--b", "1.0", "--p", "0.5", "--q", "0.5"]) == 2
@@ -134,6 +141,73 @@ def test_solve_exits_2_exactly_outside_its_domain(a, b, p, q, H):
         assert math.isfinite(json.loads(out.getvalue())["c_pl"])
     else:
         assert out.getvalue() == ""
+
+
+def _assert_rows_exactly_inside_domain(argv, legal, n_rows):
+    """Exit 0 with ``n_rows`` finite rows inside the domain, else exit 2 and no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--out={out}"])
+        assert code == (0 if legal else 2), err.getvalue()
+        if not legal:
+            assert list(Path(tmp).iterdir()) == []
+            return
+        with out.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == n_rows
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+_p_or_q = _or_illegal(_legal_unit, math.inf, 1.0, 1.5)
+
+
+@given(p=_p_or_q, q=_p_or_q)
+@settings(max_examples=30, deadline=None)
+def test_table_exits_2_exactly_outside_its_domain(p, q):
+    legal = 0 < p < 1 and 0 < q < 1
+    _assert_rows_exactly_inside_domain(["table", f"--p={p!r}", f"--q={q!r}"], legal, 21)
+
+
+@st.composite
+def _grid_flags(draw):
+    """Legal grid flags, then up to two of them set to an illegal value.
+
+    Range ends are multiples of 0.25 and the steps are coarse, so every grid
+    value is exact and a legal grid has at most 5 x 5 cells.
+    """
+    step = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    flags = {"--step": step, "--p": draw(_legal_unit), "--q": draw(_legal_unit)}
+    for axis in "ab":
+        low = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        # the maximum sits k steps above the minimum; k < 0 puts it below
+        k = draw(st.sampled_from([-1.0, -0.25, 0.0, 1.0, 2.0, 4.0]))
+        flags[f"--{axis}-min"], flags[f"--{axis}-max"] = low, low + k * step
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        unit = [1.0, 1.5] if flag in ("--p", "--q") else []
+        flags[flag] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, *unit]))
+    return flags
+
+
+@given(flags=_grid_flags())
+@settings(max_examples=100, deadline=None)
+def test_grid_exits_2_exactly_outside_its_domain(flags):
+    step = flags["--step"]
+    a_min, a_max, b_min, b_max = (flags[f] for f in ("--a-min", "--a-max", "--b-min", "--b-max"))
+    legal = (
+        all(0 < flags[f] < 1 for f in ("--p", "--q"))
+        and math.isfinite(step)
+        and step > 0
+        and all(math.isfinite(v) for v in (a_min, a_max, b_min, b_max))
+        and 0 < a_min <= a_max
+        and 0 < b_min <= b_max
+    )
+    n_rows = 0
+    if legal:  # each maximum is a whole number of steps above its minimum
+        n_rows = (round((a_max - a_min) / step) + 1) * (round((b_max - b_min) / step) + 1)
+    argv = ["grid", *(f"{flag}={value!r}" for flag, value in flags.items())]
+    _assert_rows_exactly_inside_domain(argv, legal, n_rows)
 
 
 _LAW = {"support": [[0.0], [1.0]], "probs": [0.5, 0.5]}

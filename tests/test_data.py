@@ -210,6 +210,56 @@ class TestPatientCsv:
         write_patient_csv([data], path)
         assert read_patient_csv(path) == [data]
 
+    def test_written_bytes(self, tmp_path):
+        # two trials, k = 2: records in trial order, floats as repr, \r\n line ends
+        rng = np.random.default_rng(5)
+        trials = [
+            TrialDataset(
+                times=rng.exponential(size=n) * scale,
+                events=rng.integers(0, 2, size=n),
+                covariates=np.column_stack([rng.integers(0, 2, size=n), rng.normal(size=n)]),
+                trial_ids=np.array([tid] * n, dtype=object),
+                label=tid,
+            )
+            for tid, n, scale in (("t1", 4, 1.0), ("t2", 3, 1e-300))
+        ]
+        path = tmp_path / "lines.csv"
+        write_patient_csv(trials, path)
+        lines = ["trial_id,time,event,z1,z2"] + [
+            ",".join([tid, repr(float(t)), str(int(e)), *(repr(float(v)) for v in z)])
+            for d in trials
+            for tid, t, e, z in zip(d.trial_ids, d.times, d.events, d.covariates)
+        ]
+        assert path.read_bytes().decode("utf-8") == "".join(line + "\r\n" for line in lines)
+
+    def test_no_datasets_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        write_patient_csv([], path)
+        assert path.read_bytes() == b"trial_id,time,event\r\n"
+        assert read_patient_csv(path) == []
+
+    def test_awkward_trial_ids_roundtrip(self, tmp_path):
+        # a trailing NUL (which a numpy string column would drop), a comma,
+        # a quote and line breaks, each as a trial of its own
+        ids = ["t\x00", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "\x00"]
+        trials = [
+            TrialDataset(
+                times=[1.0 + i, 0.5],
+                events=[1, 0],
+                covariates=[[0.0], [1.0]],
+                trial_ids=np.array([tid, tid], dtype=object),
+                label=tid,
+            )
+            for i, tid in enumerate(ids)
+        ]
+        path = tmp_path / "lines.csv"
+        write_patient_csv(trials, path)
+        back = read_patient_csv(path)
+        # compared as Python strings: numpy would strip the trailing NULs
+        assert [d.label for d in back] == ids
+        assert [list(d.trial_ids) for d in back] == [[tid, tid] for tid in ids]
+        assert back == trials
+
     def test_negative_time_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("trial_id,time,event,z1\nt1,1.0,1,0.0\nt1,-2.0,1,1.0\n")

@@ -397,6 +397,26 @@ class TestHarmonicMean:
         with pytest.raises(ValueError, match="hazard ratios must be positive and finite"):
             c_hm_binary(a, b, 0.5)
 
+    @pytest.mark.parametrize(
+        "a, b, p, want",
+        [
+            (1e-320, 1.0, 0.5, 2e-320),  # p / a overflows
+            (1.0, 1e-320, 0.25, 1e-320 / 0.75),
+            (1e-310, 1e-310, 0.5, 1e-310),  # both terms overflow
+            (1e-310, 1e300, 0.999, 1e-310 / 0.999),
+        ],
+    )
+    def test_extreme_hazard_ratios(self, a, b, p, want):
+        got = c_hm_binary(a, b, p)
+        assert min(a, b) <= got <= max(a, b)
+        assert got == pytest.approx(want, rel=1e-3)  # subnormals carry few digits
+        assert c_hm_binary(np.array([a, 0.5]), b, p)[0] == got
+
+    def test_direct_arithmetic_where_finite(self):
+        a, b, p = np.array([0.3, 0.5, 2.0]), np.array([0.8, 3.0, 2.5]), 0.7
+        assert c_hm_binary(a, b, p).tobytes() == (1.0 / (p / a + (1 - p) / b)).tobytes()
+        assert c_hm_binary(0.3, 0.8, 0.7) == 1.0 / (0.7 / 0.3 + 0.3 / 0.8)
+
     def test_printed_table_noise_stays_inside_tolerance(self):
         # the reference table prints 0.662 and 0.847 for these two cells
         assert c_hm_binary(0.5, 1.0, 0.5) == pytest.approx(0.662, abs=0.015)
@@ -432,6 +452,17 @@ class TestVarThetaHm:
 
     def test_zero_variances(self):
         assert var_theta_hm_binary(0.3, 0.8, 0.0, 0.0, 0.7) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-160, 1e160, 1e300])
+    def test_scale_free_at_extreme_hazard_ratios(self, scale):
+        # 1 / a_hat overflows, or squares past the float range, without rescaling
+        want = var_theta_hm_binary(0.3, 0.8, 0.02, 0.03, 0.7)
+        got = var_theta_hm_binary(0.3 * scale, 0.8 * scale, 0.02, 0.03, 0.7)
+        assert got == pytest.approx(want, rel=1e-3 if scale < 1e-300 else 1e-12)
+
+    def test_subnormal_against_unit_hazard_ratio(self):
+        # the subnormal trial carries all the weight
+        assert var_theta_hm_binary(1e-320, 1.0, 0.1, 0.2, 0.5) == pytest.approx(0.1, rel=1e-15)
 
     def test_bootstrap_oracle_binary(self):
         # parametric bootstrap: resample the per-trial log estimates and

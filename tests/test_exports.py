@@ -1,7 +1,10 @@
-"""Every name a module exports exists, so a deletion cannot leave a stale export."""
+"""Module boundaries: every exported name exists, so a deletion cannot leave a
+stale export, and only ``hrmix.data`` reads or writes CSV."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,16 @@ def test_exported_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_data_imports_csv(name):
+    # every CSV file goes through data's one reader and one writer
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert ("csv" in imported) == (name == "hrmix.data")
