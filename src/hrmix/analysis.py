@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# fit_cox is not called here; perfbench's tracer binds it by this name
-from .cox import (  # noqa: F401
-    _breslow_ordered,
-    _CountTables,
-    _descending,
-    _fit_ordered,
-    fit_cox,
-    fit_cox_rows,
-)
+from .cox import _breslow_ordered, _CountTables, _descending, _fit_ordered, fit_cox_rows
 from .data import (
     CovariateDistribution,
     ScenarioSpec,
@@ -432,15 +424,20 @@ def figure2_grid(
     p: float = 0.5,
     q: float = 0.5,
 ) -> GridResult:
-    """Rectangular comparison grid for percentage-difference contours."""
+    """Rectangular comparison grid for percentage-difference contours.
+
+    A range holds lo + i * resolution for every i with i <= (hi - lo) / resolution + 1e-9.
+    """
     if not (np.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be positive and finite")
     if not np.all(np.isfinite([*a_range, *b_range])):
         raise ValueError("grid ranges must be finite")
     if a_range[0] > a_range[1] or b_range[0] > b_range[1]:
         raise ValueError("each grid range needs its minimum at or below its maximum")
-    a_values = np.round(np.arange(a_range[0], a_range[1] + resolution / 2, resolution), 12)
-    b_values = np.round(np.arange(b_range[0], b_range[1] + resolution / 2, resolution), 12)
+    a_values, b_values = (
+        np.round(lo + resolution * np.arange(np.floor((hi - lo) / resolution + 1e-9) + 1), 12)
+        for lo, hi in (a_range, b_range)
+    )
     if np.any(a_values <= 0) or np.any(b_values <= 0):
         raise ValueError("grid ranges must be positive")
     populated = np.ones((a_values.size, b_values.size), dtype=bool)

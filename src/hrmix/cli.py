@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,16 +20,22 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, data, estimators
-# fit_cox is not called here; perfbench's tracer binds it by this name
-from .cox import _fit_trials_and_pooled, fit_cox  # noqa: F401
-from .errors import DimensionMismatchError, HrmixError, ParseError, SchemaError
+from .cox import _fit_trials_and_pooled
+from .errors import HrmixError, ParseError, SchemaError
 
 _INPUT_ERRORS = (ParseError, SchemaError, ValueError, KeyError, OSError, json.JSONDecodeError)
 
 
-def _write_manifest(out_path, command: str, config: dict) -> None:
+def _write_manifest(args, **derived) -> None:
+    """Write ``<out>.manifest.json``; its config is the parsed flags updated by ``derived``.
+
+    The subcommand, its handler and the output path are not configuration,
+    and ``--threads`` is left out because no output depends on it.
+    """
+    skip = ("command", "func", "out", "threads")
+    config = {k: v for k, v in vars(args).items() if k not in skip} | derived
     payload = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": config.get("seed"),
         "package": {"name": "hrmix", "version": __version__},
@@ -37,7 +44,7 @@ def _write_manifest(out_path, command: str, config: dict) -> None:
     payload["config_sha256"] = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
+    with open(f"{args.out}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -80,11 +87,8 @@ def _cmd_solve(args) -> int:
 def _load_aggregates(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    try:
-        dist = data.CovariateDistribution(
-            support=np.asarray(obj["covariate_dist"]["support"], dtype=float),
-            probs=np.asarray(obj["covariate_dist"]["probs"], dtype=float),
-        )
+    with data._schema("aggregates file"):
+        dist = data._law_from_json(obj)
         aggregates = [
             estimators.TrialAggregate(
                 beta_hat=np.asarray(t["beta_hat"], dtype=float),
@@ -94,12 +98,6 @@ def _load_aggregates(path):
             )
             for t in obj["trials"]
         ]
-    except KeyError as exc:
-        raise SchemaError(f"aggregates file missing field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise SchemaError(f"aggregates file has a field of the wrong type ({exc})") from None
-    except DimensionMismatchError as exc:
-        raise SchemaError(f"aggregates file: {exc}") from None
     if any(a.k != dist.k for a in aggregates):
         raise SchemaError(f"aggregates file: every beta_hat must have the law's dimension {dist.k}")
     return aggregates, dist
@@ -148,7 +146,7 @@ def _cmd_estimate(args) -> int:
                 estimators.CombineMethod.POOLED_MPLE,
                 pooled_fit.beta_hat,
                 pooled_fit.covariance,
-                aggregates[0].size / sum(a.size for a in aggregates),
+                estimators._mixing_p(aggregates),
             )
         )
         out["per_trial"] = [
@@ -180,7 +178,7 @@ def _cmd_estimate(args) -> int:
 def _load_scenario(args) -> data.ScenarioSpec:
     spec = data.scenario_from_json(args.scenario)
     if args.seed is not None:
-        spec = data.scenario_with(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, seed=args.seed)
     return spec
 
 
@@ -188,11 +186,7 @@ def _cmd_simulate(args) -> int:
     spec = _load_scenario(args)
     datasets = data.simulate_scenario(spec, replicate=args.replicate)
     data.write_patient_csv(datasets, args.out)
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"scenario": data.scenario_to_json(spec), "replicate": args.replicate, "seed": spec.seed},
-    )
+    _write_manifest(args, scenario=data.scenario_to_json(spec), seed=spec.seed)
     return 0
 
 
@@ -213,23 +207,15 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.tmax_grid)
     result = analysis.bias_sweep(spec, grid, replicates=args.replicates)
     analysis.write_sweep_csv(result, args.out)
-    _write_manifest(
-        args.out,
-        "sweep",
-        {
-            "scenario": data.scenario_to_json(spec),
-            "tmax_grid": [float(v) for v in grid],
-            "replicates": args.replicates,
-            "seed": spec.seed,
-        },
-    )
+    scenario = data.scenario_to_json(spec)
+    _write_manifest(args, scenario=scenario, tmax_grid=[float(v) for v in grid], seed=spec.seed)
     return 0
 
 
 def _cmd_table(args) -> int:
     result = analysis.table1_grid(p=args.p, q=args.q)
     analysis.write_grid_csv(result, args.out)
-    _write_manifest(args.out, "table", {"p": args.p, "q": args.q})
+    _write_manifest(args)
     return 0
 
 
@@ -242,19 +228,7 @@ def _cmd_grid(args) -> int:
         q=args.q,
     )
     analysis.write_grid_csv(result, args.out)
-    _write_manifest(
-        args.out,
-        "grid",
-        {
-            "a_min": args.a_min,
-            "a_max": args.a_max,
-            "b_min": args.b_min,
-            "b_max": args.b_max,
-            "step": args.step,
-            "p": args.p,
-            "q": args.q,
-        },
-    )
+    _write_manifest(args)
     return 0
 
 
@@ -276,21 +250,7 @@ def _cmd_breslow(args) -> int:
         window=args.window,
     )
     analysis.write_breslow_csv(comparison, args.out)
-    _write_manifest(
-        args.out,
-        "breslow",
-        {
-            "a": args.a,
-            "b": args.b,
-            "p": args.p,
-            "c_star": c_star,
-            "t_max": args.t_max,
-            "points": args.points,
-            "subjects": args.subjects,
-            "window": args.window,
-            "seed": args.seed,
-        },
-    )
+    _write_manifest(args, c_star=c_star)
     return 0
 
 

@@ -14,12 +14,13 @@ record an error report must name.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,6 +65,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y
+
+
+def _fields_equal(self, other) -> bool:
+    """``__eq__`` of the records that hold arrays: field by field, arrays
+    elementwise and tuples item by item."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +134,7 @@ class TrialDataset:
     def n_events(self) -> int:
         return int(self.events.sum())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrialDataset):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.events, other.events)
-            and np.array_equal(self.covariates, other.covariates)
-            and bool(np.all(self.trial_ids == other.trial_ids))
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +193,7 @@ class CovariateDistribution:
             return None
         return float(self.probs[self.support[:, 0] == 1.0][0])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CovariateDistribution):
-            return NotImplemented
-        return np.array_equal(self.support, other.support) and np.array_equal(
-            self.probs, other.probs
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -296,18 +299,7 @@ class ScenarioSpec:
         """Limiting share of pooled subjects contributed by trial 1."""
         return self.sizes[0] / sum(self.sizes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScenarioSpec):
-            return NotImplemented
-        return (
-            len(self.trial_effects) == len(other.trial_effects)
-            and all(np.array_equal(a, b) for a, b in zip(self.trial_effects, other.trial_effects))
-            and self.sizes == other.sizes
-            and self.covariate_dist == other.covariate_dist
-            and self.baseline == other.baseline
-            and self.censoring == other.censoring
-            and self.seed == other.seed
-        )
+    __eq__ = _fields_equal
 
 
 def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
@@ -771,6 +763,29 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _schema(what: str):
+    """Report a missing, wrongly typed or wrongly sized field of the JSON
+    file ``what`` as a ``SchemaError``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{what} missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"{what} has a field of the wrong type ({exc})") from None
+    except DimensionMismatchError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
+
+
+def _law_from_json(obj) -> CovariateDistribution:
+    """The covariate law in the ``covariate_dist`` field of a JSON file."""
+    law = obj["covariate_dist"]
+    return CovariateDistribution(
+        support=np.asarray(law["support"], dtype=float),
+        probs=np.asarray(law["probs"], dtype=float),
+    )
+
+
 def _json_int(value, name: str) -> int:
     """An integer field of a JSON file; an integral float such as 400.0 passes too."""
     try:
@@ -784,11 +799,8 @@ def scenario_from_json(obj) -> ScenarioSpec:
     if isinstance(obj, (str, bytes)) or hasattr(obj, "__fspath__"):
         with open(obj, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    try:
-        dist = CovariateDistribution(
-            support=np.asarray(obj["covariate_dist"]["support"], dtype=float),
-            probs=np.asarray(obj["covariate_dist"]["probs"], dtype=float),
-        )
+    with _schema("scenario config"):
+        dist = _law_from_json(obj)
         return ScenarioSpec(
             trial_effects=tuple(np.asarray(e, dtype=float) for e in obj["trial_effects"]),
             sizes=tuple(_json_int(s, "sizes") for s in obj["sizes"]),
@@ -797,14 +809,3 @@ def scenario_from_json(obj) -> ScenarioSpec:
             censoring=_censoring_from_json(obj.get("censoring", {"kind": "none"})),
             seed=_json_int(obj.get("seed", 0), "seed"),
         )
-    except KeyError as exc:
-        raise SchemaError(f"scenario config missing field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise SchemaError(f"scenario config has a field of the wrong type ({exc})") from None
-    except DimensionMismatchError as exc:
-        raise SchemaError(f"scenario config: {exc}") from None
-
-
-def scenario_with(spec: ScenarioSpec, **changes) -> ScenarioSpec:
-    """Return a copy of the scenario with the given fields replaced."""
-    return replace(spec, **changes)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from hrmix import (
     CovariateDistribution,
+    NonConvergenceError,
+    ScenarioSpec,
     bias_sweep,
     breslow_limit,
     breslow_limit_at_infinity,
@@ -21,12 +25,12 @@ from hrmix import (
     solve_theta_hm_general,
     table1_grid,
 )
+from hrmix import analysis
 from hrmix.analysis import (
     write_breslow_csv,
     write_grid_csv,
     write_sweep_csv,
 )
-from hrmix.data import scenario_with
 
 from conftest import EXAMPLE3_P
 
@@ -61,6 +65,17 @@ class TestProposition3:
     def test_orderings_property(self, a, gap, p, q):
         rep = proposition3_check(a, a + gap, p, q)
         assert rep.chain_hm_holds and rep.chain_pl_holds
+
+
+_SWEEP_SUMMARIES = (
+    "theta_pl_mean",
+    "theta_pl_lo",
+    "theta_pl_hi",
+    "theta_m_mean",
+    "theta_m_lo",
+    "theta_m_hi",
+    "censored_fraction",
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +113,7 @@ class TestBiasSweep:
     def test_study_end_where_every_replicate_fails(self, example3_scenario):
         # tiny trials: every fit fails at t_max = 0.01, about half survive
         # without censoring
-        tiny = scenario_with(example3_scenario, sizes=(7, 5))
+        tiny = replace(example3_scenario, sizes=(7, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = bias_sweep(tiny, [0.01, math.inf], replicates=100)
@@ -117,6 +132,47 @@ class TestBiasSweep:
         alone = bias_sweep(tiny, [math.inf], replicates=100)
         for f in fields:
             assert getattr(result, f)[1] == pytest.approx(getattr(alone, f)[0], rel=1e-13)
+
+    @pytest.mark.parametrize("failing, grown", [({0, 2, 4}, [3, 0]), ({1, 7, 199}, [0, 3])])
+    def test_failed_general_plugin_cell_counts_as_failed(self, monkeypatch, failing, grown):
+        # a 3-point law takes the plug-in's one-cell general solve, whose
+        # call r * 2 + g is the cell of replicate r at study end g
+        law = CovariateDistribution(support=[[0.0], [0.5], [1.0]], probs=[0.3, 0.3, 0.4])
+        spec = ScenarioSpec(
+            trial_effects=([math.log(0.5)], [math.log(1.5)]),
+            sizes=(60, 40),
+            covariate_dist=law,
+            seed=11,
+        )
+        real, values = analysis.solve_theta_pl_general, []
+
+        def sweep(fail):
+            calls = itertools.count()
+
+            def solve(*args, **kwargs):
+                if next(calls) in fail:
+                    raise NonConvergenceError("injected failure")
+                out = real(*args, **kwargs)
+                values.append(out[0])
+                return out
+
+            monkeypatch.setattr(analysis, "solve_theta_pl_general", solve)
+            return bias_sweep(spec, [2.0, math.inf], replicates=100)
+
+        before = sweep(set())
+        assert len(values) == 200 and np.all(before.n_failed == 0)
+        theta = np.reshape(values, (100, 2))
+        after = sweep(failing)
+        assert list(after.n_failed) == grown
+        for g in range(2):
+            if not grown[g]:
+                for f in _SWEEP_SUMMARIES:
+                    assert getattr(after, f)[g] == getattr(before, f)[g]
+                continue
+            kept = theta[[r for r in range(100) if r * 2 + g not in failing], g]
+            assert after.theta_m_mean[g] == pytest.approx(kept.mean(), rel=1e-12)
+            assert after.theta_m_lo[g] == pytest.approx(np.percentile(kept, 2.5), rel=1e-12)
+            assert after.theta_m_hi[g] == pytest.approx(np.percentile(kept, 97.5), rel=1e-12)
 
     def test_validation(self, example3_scenario):
         with pytest.raises(ValueError):
@@ -253,7 +309,7 @@ class TestCsvWriters:
 
     def test_sweep_csv(self, tmp_path, example3_scenario):
         # tiny trials: every fit fails at t_max = 0.01, so that row is nan
-        tiny = scenario_with(example3_scenario, sizes=(7, 5))
+        tiny = replace(example3_scenario, sizes=(7, 5))
         result = bias_sweep(tiny, [0.01, 1.0, math.inf], replicates=100)
         assert result.n_failed[0] == 100
         path = tmp_path / "sweep.csv"

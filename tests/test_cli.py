@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import re
 import shlex
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hrmix import NonConvergenceError, TrialDataset, scenario_to_json
+import hrmix
+from hrmix import NonConvergenceError, TrialDataset, scenario_to_json, solve_cpl_binary
 from hrmix.cli import _build_parser, _empirical_dist, main
-from hrmix.data import scenario_with
 
 
 @pytest.fixture()
@@ -112,19 +114,35 @@ _legal_unit = st.floats(0.001, 0.999)
 _legal_H = st.one_of(st.none(), st.floats(0.01, 100.0), st.sampled_from([50.0, math.inf]))
 
 
+_ILLEGAL = [math.nan, -math.inf, 0.0, -0.0, -1.0]
+
+
 def _or_illegal(legal, *illegal):
-    return st.one_of(legal, st.sampled_from([math.nan, -math.inf, 0.0, -0.0, -1.0, *illegal]))
+    return st.one_of(legal, st.sampled_from([*_ILLEGAL, *illegal]))
 
 
-@given(
-    a=_or_illegal(_legal_hr, math.inf),
-    b=_or_illegal(_legal_hr, math.inf),
-    p=_or_illegal(_legal_unit, math.inf, 1.0, 1.5),
-    q=_or_illegal(_legal_unit, math.inf, 1.0, 1.5),
-    H=_or_illegal(_legal_H),
-)
+@st.composite
+def _solve_flags(draw):
+    """Legal solve flags, then up to two of them set to an illegal value; a
+    broken H is passed even where the legal draw left ``--tmax-H`` out."""
+    flags = {
+        "a": draw(_legal_hr),
+        "b": draw(_legal_hr),
+        "p": draw(_legal_unit),
+        "q": draw(_legal_unit),
+        "H": draw(_legal_H),
+    }
+    for flag in draw(st.lists(st.sampled_from("abpqH"), max_size=2, unique=True)):
+        # an infinite study end is legal, and p and q must stay below 1
+        extra = [] if flag == "H" else [math.inf] + ([1.0, 1.5] if flag in "pq" else [])
+        flags[flag] = draw(st.sampled_from([*_ILLEGAL, *extra]))
+    return flags
+
+
+@given(flags=_solve_flags())
 @settings(max_examples=100, deadline=None)
-def test_solve_exits_2_exactly_outside_its_domain(a, b, p, q, H):
+def test_solve_exits_2_exactly_outside_its_domain(flags):
+    a, b, p, q, H = (flags[f] for f in "abpqH")
     argv = ["solve", f"--a={a!r}", f"--b={b!r}", f"--p={p!r}", f"--q={q!r}"]
     if H is not None:
         argv.append(f"--tmax-H={H!r}")
@@ -174,7 +192,7 @@ def test_table_exits_2_exactly_outside_its_domain(p, q):
 def _grid_flags(draw):
     """Legal grid flags, then up to two of them set to an illegal value.
 
-    Range ends are multiples of 0.25 and the steps are coarse, so every grid
+    Range ends are multiples of 1/16 and the steps are coarse, so every grid
     value is exact and a legal grid has at most 5 x 5 cells.
     """
     step = draw(st.sampled_from([0.25, 0.5, 0.75]))
@@ -182,7 +200,7 @@ def _grid_flags(draw):
     for axis in "ab":
         low = draw(st.sampled_from([0.25, 0.5, 1.0]))
         # the maximum sits k steps above the minimum; k < 0 puts it below
-        k = draw(st.sampled_from([-1.0, -0.25, 0.0, 1.0, 2.0, 4.0]))
+        k = draw(st.sampled_from([-1.0, -0.25, 0.0, 1.0, 1.5, 1.75, 2.0, 4.0]))
         flags[f"--{axis}-min"], flags[f"--{axis}-max"] = low, low + k * step
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
         unit = [1.0, 1.5] if flag in ("--p", "--q") else []
@@ -204,8 +222,8 @@ def test_grid_exits_2_exactly_outside_its_domain(flags):
         and 0 < b_min <= b_max
     )
     n_rows = 0
-    if legal:  # each maximum is a whole number of steps above its minimum
-        n_rows = (round((a_max - a_min) / step) + 1) * (round((b_max - b_min) / step) + 1)
+    if legal:  # every value is exact, so floor counts the values up to each maximum
+        n_rows = (math.floor((a_max - a_min) / step) + 1) * (math.floor((b_max - b_min) / step) + 1)
     argv = ["grid", *(f"{flag}={value!r}" for flag, value in flags.items())]
     _assert_rows_exactly_inside_domain(argv, legal, n_rows)
 
@@ -494,6 +512,102 @@ class TestSimulateAndSweep:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("baseline", {"kind": "weibull", "shape": 2.0, "scale": 1.5}),
+            ("baseline", {"kind": "weibull", "shape": 2.0}),
+            ("censoring", {"kind": "exponential", "rate": 0.7}),
+            ("censoring", {"kind": "administrative", "t_max": 3.0}),
+        ],
+        ids=["weibull", "weibull-default-scale", "exponential", "administrative"],
+    )
+    def test_simulate_every_baseline_and_censoring_kind(
+        self, tmp_path, scenario_file, example3_scenario, field, value
+    ):
+        config = scenario_to_json(example3_scenario) | {field: value}
+        path = tmp_path / "kind.json"  # scenario_file is the identity-baseline, uncensored one
+        path.write_text(json.dumps(config))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "identity.csv"]
+        assert main(["simulate", "--scenario", str(path), "--out", str(outs[0])]) == 0
+        assert main(["simulate", "--scenario", str(path), "--out", str(outs[1])]) == 0
+        assert main(["simulate", "--scenario", scenario_file, "--out", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+        rows = list(csv.DictReader(outs[0].open()))
+        times = np.array([float(r["time"]) for r in rows])
+        events = np.array([int(r["event"]) for r in rows])
+        assert (0 < events.sum() < events.size) == (field == "censoring")
+        if "t_max" in value:
+            assert np.all(np.where(events == 1, times < 3.0, times == 3.0))
+
+    @pytest.mark.parametrize("field", ["baseline", "censoring"])
+    def test_unknown_scenario_kind_exits_2(self, capsys, tmp_path, example3_scenario, field):
+        config = scenario_to_json(example3_scenario)
+        config[field] = {"kind": "gompertz"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"hrmix: input error: unknown {field} kind 'gompertz'\n"
+        assert not out.exists()
+
+
+def _manifest_bytes(command, config):
+    """The manifest the CLI must write for ``config``, built here from scratch."""
+    payload = {
+        "command": command,
+        "config": config,
+        "seed": config.get("seed"),
+        "package": {"name": "hrmix", "version": hrmix.__version__},
+        "library_versions": {"numpy": np.__version__},
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestManifests:
+    """Each manifest's bytes, pinned against the configuration it must record."""
+
+    def _assert_manifest(self, tmp_path, argv, config):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = tmp_path / "out.csv.manifest.json"
+        assert manifest.read_bytes() == _manifest_bytes(argv[0], config)
+
+    def test_table(self, tmp_path):
+        self._assert_manifest(tmp_path, ["table", "--q=0.25"], {"p": 0.5, "q": 0.25})
+
+    def test_grid(self, tmp_path):
+        argv = ["grid", "--a-min=0.5", "--a-max=1", "--b-max=0.7", "--step=0.25", "--p=0.4"]
+        config = {"a_min": 0.5, "a_max": 1.0, "b_min": 0.2, "b_max": 0.7, "step": 0.25}
+        self._assert_manifest(tmp_path, argv, config | {"p": 0.4, "q": 0.5})
+
+    @pytest.mark.parametrize(
+        "flags, replicate, seed", [([], 0, 20260808), (["--seed=7", "--replicate=3"], 3, 7)]
+    )
+    def test_simulate(self, tmp_path, scenario_file, example3_scenario, flags, replicate, seed):
+        scenario = scenario_to_json(replace(example3_scenario, seed=seed))
+        config = {"scenario": scenario, "replicate": replicate, "seed": seed}
+        self._assert_manifest(tmp_path, ["simulate", "--scenario", scenario_file, *flags], config)
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    @pytest.mark.parametrize("flags, seed", [([], 20260808), (["--seed=5"], 5)])
+    def test_sweep(self, tmp_path, scenario_file, example3_scenario, threads, flags, seed):
+        argv = ["sweep", "--scenario", scenario_file, "--tmax-grid=inf,1", "--replicates=100"]
+        config = {
+            "scenario": scenario_to_json(replace(example3_scenario, seed=seed)),
+            "tmax_grid": [math.inf, 1.0],  # as given, not sorted
+            "replicates": 100,
+            "seed": seed,
+        }
+        self._assert_manifest(tmp_path, [*argv, f"--threads={threads}", *flags], config)
+
+    def test_breslow(self, tmp_path):
+        argv = ["breslow", "--a=0.5", "--b=1", "--p=0.5", "--subjects=4000", "--points=5"]
+        config = {"a": 0.5, "b": 1.0, "p": 0.5, "c_star": solve_cpl_binary(0.5, 1.0, 0.5, 0.5)}
+        config |= {"t_max": 2.0, "points": 5, "subjects": 4000, "window": 200, "seed": 0}
+        self._assert_manifest(tmp_path, argv, config)
 
 
 class TestTableAndGrid:

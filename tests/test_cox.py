@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hrmix import (
     simulate_trial,
     solve_cpl_binary,
 )
-from hrmix.data import CovariateDistribution, scenario_with
+from hrmix.data import CovariateDistribution
 
 from conftest import (
     EXAMPLE3_P,
@@ -130,7 +131,7 @@ class TestFitCoxConsistency:
     def test_pooled_fit_tracks_solver_limit(self, example3_scenario):
         # cross-module agreement: a large pooled uncensored fit approaches
         # the limiting value produced by the estimating-equation solver
-        big = scenario_with(example3_scenario, sizes=(80_000, 34_000), seed=99)
+        big = replace(example3_scenario, sizes=(80_000, 34_000), seed=99)
         fit = fit_cox(pool(simulate_scenario(big, replicate=0)))
         limit = math.log(solve_cpl_binary(0.3, 0.8, EXAMPLE3_P, 0.5))
         se = math.sqrt(fit.covariance[0, 0])

@@ -1,9 +1,11 @@
 import csv
 import functools
 import io
+import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -32,7 +34,6 @@ from hrmix import (
     write_patient_csv,
 )
 from hrmix import data as data_module
-from hrmix.data import scenario_with
 
 from conftest import censor_administrative, reference_read_patient_csv
 
@@ -93,7 +94,7 @@ class TestSimulateTrial:
         assert abs(t1.mean() - t0.mean()) <= 3 * se
 
     def test_example3_censored_fraction(self, example3_scenario):
-        spec = scenario_with(example3_scenario, censoring=AdministrativeCensoring(t_max=1.0))
+        spec = replace(example3_scenario, censoring=AdministrativeCensoring(t_max=1.0))
         fracs = []
         for r in range(30):
             pooled = pool(simulate_scenario(spec, replicate=r))
@@ -101,9 +102,7 @@ class TestSimulateTrial:
         assert np.mean(fracs) == pytest.approx(0.51, abs=0.02)
 
     def test_administrative_censoring_invariant(self, example3_scenario):
-        censored_spec = scenario_with(
-            example3_scenario, censoring=AdministrativeCensoring(t_max=1.0)
-        )
+        censored_spec = replace(example3_scenario, censoring=AdministrativeCensoring(t_max=1.0))
         latent = pool(simulate_scenario(example3_scenario, replicate=3))
         censored = pool(simulate_scenario(censored_spec, replicate=3))
         # same stream, administrative censoring draws nothing extra
@@ -148,7 +147,7 @@ class TestPool:
         assert pool([trials[0]]) == trials[0]
 
     def test_event_counts_partition(self, example3_scenario):
-        spec = scenario_with(example3_scenario, censoring=AdministrativeCensoring(t_max=2.0))
+        spec = replace(example3_scenario, censoring=AdministrativeCensoring(t_max=2.0))
         trials = simulate_scenario(spec, replicate=1)
         pooled = pool(trials)
         for t in trials:
@@ -694,17 +693,32 @@ class TestPatientCsvFastPath:
 
 class TestScenarioJson:
     def test_roundtrip(self, example3_scenario, tmp_path):
-        spec = scenario_with(
-            example3_scenario, censoring=AdministrativeCensoring(t_max=1.0)
-        )
+        spec = replace(example3_scenario, censoring=AdministrativeCensoring(t_max=1.0))
         obj = scenario_to_json(spec)
         back = scenario_from_json(obj)
         assert back == spec
-        import json
-
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(obj))
         assert scenario_from_json(path) == spec
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("baseline", WeibullBaseline(2.0, 1.5)),
+            ("baseline", WeibullBaseline(0.5)),
+            ("censoring", ExponentialCensoring(0.7)),
+            ("censoring", AdministrativeCensoring(3.0)),
+        ],
+    )
+    def test_roundtrip_of_every_kind(self, example3_scenario, field, value):
+        spec = replace(example3_scenario, **{field: value})
+        assert scenario_from_json(json.loads(json.dumps(scenario_to_json(spec)))) == spec
+
+    def test_weibull_scale_defaults_to_one(self, example3_scenario):
+        obj = scenario_to_json(example3_scenario)
+        obj["baseline"] = {"kind": "weibull", "shape": 2.0}
+        assert scenario_from_json(obj).baseline == WeibullBaseline(shape=2.0, scale=1.0)
+        assert scenario_to_json(scenario_from_json(obj))["baseline"]["scale"] == 1.0
 
     def test_validation(self, bernoulli_half):
         with pytest.raises(ValueError):

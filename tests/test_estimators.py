@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from hrmix import (
     var_theta_hm_general,
     wald_test,
 )
-from hrmix.data import scenario_with
 import hrmix.estimators as estimators
 from hrmix.estimators import CombinedEffect, wald_test as _wald
 
@@ -534,7 +534,7 @@ class TestWald:
 
     def test_example3_pipeline_rejects_null(self, example3_scenario):
         # end to end: censor at t_max = 10, fit each trial, combine, test
-        spec = scenario_with(example3_scenario, censoring=AdministrativeCensoring(t_max=10.0))
+        spec = replace(example3_scenario, censoring=AdministrativeCensoring(t_max=10.0))
         trials = simulate_scenario(spec, replicate=0)
         fits = [fit_cox(t) for t in trials]
         aggs = [

@@ -1,5 +1,6 @@
 """Module boundaries: every exported name exists, so a deletion cannot leave a
-stale export, and only ``hrmix.data`` reads or writes CSV."""
+stale export, only ``hrmix.data`` reads or writes CSV, and no module keeps an
+import it does not use."""
 
 import ast
 import importlib
@@ -38,3 +39,18 @@ def test_only_data_imports_csv(name):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert ("csv" in imported) == (name == "hrmix.data")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "hrmix"])
+def test_no_unused_imports(name):
+    # a module imports only what it uses; a name in its __all__ counts as used
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used - set(getattr(module, "__all__", [])) == set()

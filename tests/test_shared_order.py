@@ -10,6 +10,7 @@ the command.
 import contextlib
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from hrmix import data as data_module
 from hrmix.analysis import _example4_pool, _sorted_latent, breslow_limit
 from hrmix.cli import main
 from hrmix.cox import _fit_trials_and_pooled, breslow_cumhaz
-from hrmix.data import scenario_with
 
 from conftest import reference_read_patient_csv
 
@@ -150,7 +150,7 @@ def test_estimate_lines_traced_peak_per_subject(tmp_path, capsys):
 
 
 def test_sorted_latent_trials_match_their_own_sort(example3_scenario):
-    spec = scenario_with(example3_scenario, sizes=(7, 5))
+    spec = replace(example3_scenario, sizes=(7, 5))
     replicates = range(3, 9)
     latent = _sorted_latent(spec, replicates)
     # the unsorted draw, rebuilt from each replicate's stream
