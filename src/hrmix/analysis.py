@@ -22,7 +22,6 @@ from .data import (
     TrialDataset,
     _draw_latent,
     _write_csv,
-    pool,
     replicate_stream,
 )
 from .errors import HrmixError
@@ -531,24 +530,16 @@ def _example4_pool(a: float, b: float, p: float, n_subjects: int, seed: int) -> 
     n1 = max(1, round(p * pairs))
     n2 = max(1, pairs - n1)
     rng = replicate_stream(seed, 0)
-    groups = []
-    for label, rate, size, arm in (
-        ("trial1", a, n1, 1.0),
-        ("trial1", 1.0, n1, 0.0),
-        ("trial2", b, n2, 1.0),
-        ("trial2", 1.0, n2, 0.0),
-    ):
-        times = rng.exponential(scale=1.0 / rate, size=size)
-        groups.append(
-            TrialDataset(
-                times=times,
-                events=np.ones(size, dtype=np.int64),
-                covariates=np.full((size, 1), arm),
-                trial_ids=np.full(size, label, dtype=object),
-                label=label,
-            )
-        )
-    return pool(groups)
+    labels, arms = ("trial1", "trial1", "trial2", "trial2"), (1.0, 0.0, 1.0, 0.0)
+    rates, sizes = (a, 1.0, b, 1.0), (n1, n1, n2, n2)
+    times = np.concatenate([rng.exponential(scale=1.0 / r, size=n) for r, n in zip(rates, sizes)])
+    return TrialDataset(
+        times=times,
+        events=np.ones(times.size, dtype=np.int64),
+        covariates=np.repeat(arms, sizes)[:, None],
+        trial_ids=np.repeat(np.array(labels, dtype=object), sizes),
+        label="pooled",
+    )
 
 
 def breslow_limit(

@@ -25,6 +25,10 @@ from .errors import HrmixError, ParseError, SchemaError
 
 _INPUT_ERRORS = (ParseError, SchemaError, ValueError, KeyError, OSError, json.JSONDecodeError)
 
+# The weight schemes of the linear combiners by their --weights names; the
+# first is the default
+_WEIGHTS = {"size": estimators.SizeProportional, "inverse-variance": estimators.InverseVariance}
+
 
 def _write_manifest(args, **derived) -> None:
     """Write ``<out>.manifest.json``; its config is the parsed flags updated by ``derived``.
@@ -119,11 +123,7 @@ def _empirical_dist(pooled: data.TrialDataset) -> data.CovariateDistribution:
 def _cmd_estimate(args) -> int:
     if not math.isfinite(args.null):
         raise ValueError("--null must be finite")
-    scheme = (
-        estimators.InverseVariance()
-        if args.weights == "inverse-variance"
-        else estimators.SizeProportional()
-    )
+    scheme = _WEIGHTS[args.weights]()
     out: dict = {"weights": args.weights}
     if args.aggregates:
         aggregates, dist = _load_aggregates(args.aggregates)
@@ -204,11 +204,10 @@ def _parse_grid(text: str):
 
 def _cmd_sweep(args) -> int:
     spec = _load_scenario(args)
-    grid = _parse_grid(args.tmax_grid)
-    result = analysis.bias_sweep(spec, grid, replicates=args.replicates)
+    result = analysis.bias_sweep(spec, _parse_grid(args.tmax_grid), replicates=args.replicates)
     analysis.write_sweep_csv(result, args.out)
     scenario = data.scenario_to_json(spec)
-    _write_manifest(args, scenario=scenario, tmax_grid=[float(v) for v in grid], seed=spec.seed)
+    _write_manifest(args, scenario=scenario, tmax_grid=result.t_max.tolist(), seed=spec.seed)
     return 0
 
 
@@ -282,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--lines", help="patient-line CSV; per-trial and pooled fits are computed")
     p.add_argument(
         "--weights",
-        choices=["size", "inverse-variance"],
-        default="size",
+        choices=list(_WEIGHTS),
+        default=next(iter(_WEIGHTS)),
         help="weight scheme for the linear combiners (default size-proportional)",
     )
     p.add_argument("--null", type=float, default=0.0, help="null value for the Wald test")

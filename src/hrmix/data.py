@@ -20,8 +20,8 @@ import functools
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -200,6 +200,9 @@ class CovariateDistribution:
 class NoCensoring:
     """All event times are observed."""
 
+    def _draw(self, size: int, rng: np.random.Generator):
+        return np.inf
+
 
 @dataclass(frozen=True)
 class AdministrativeCensoring:
@@ -211,6 +214,9 @@ class AdministrativeCensoring:
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
 
+    def _draw(self, size: int, rng: np.random.Generator):
+        return self.t_max
+
 
 @dataclass(frozen=True)
 class ExponentialCensoring:
@@ -221,6 +227,9 @@ class ExponentialCensoring:
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("rate must be positive")
+
+    def _draw(self, size: int, rng: np.random.Generator):
+        return rng.exponential(scale=1.0 / self.rate, size=size)
 
 
 CensoringScheme = NoCensoring | AdministrativeCensoring | ExponentialCensoring
@@ -325,9 +334,7 @@ def _draw_latent(effect, size: int, dist: CovariateDistribution, baseline, rng):
     """
     levels = rng.choice(dist.support.shape[0], size=size, p=dist.probs)
     unit = rng.exponential(size=size)
-    latent = unit / np.exp(dist.support[levels] @ effect)
-    if baseline is not None:
-        latent = np.asarray(baseline(latent), dtype=float)
+    latent = np.asarray(baseline(unit / np.exp(dist.support[levels] @ effect)), dtype=float)
     return levels, latent
 
 
@@ -335,7 +342,7 @@ def simulate_trial(
     effect,
     size: int,
     dist: CovariateDistribution,
-    baseline: Callable | None = None,
+    baseline: Baseline = IdentityBaseline(),
     censoring: CensoringScheme = NoCensoring(),
     rng: np.random.Generator | None = None,
     label: str = "trial",
@@ -354,22 +361,11 @@ def simulate_trial(
         raise DimensionMismatchError("effect dimension must match the covariate law")
     rng = rng if rng is not None else np.random.default_rng()
     levels, latent = _draw_latent(effect, size, dist, baseline, rng)
-    z = dist.support[levels]
-    if isinstance(censoring, NoCensoring):
-        times, events = latent, np.ones(size, dtype=np.int64)
-    elif isinstance(censoring, AdministrativeCensoring):
-        events = (latent <= censoring.t_max).astype(np.int64)
-        times = np.minimum(latent, censoring.t_max)
-    elif isinstance(censoring, ExponentialCensoring):
-        c = rng.exponential(scale=1.0 / censoring.rate, size=size)
-        events = (latent <= c).astype(np.int64)
-        times = np.minimum(latent, c)
-    else:
-        raise TypeError(f"unknown censoring scheme {censoring!r}")
+    c = censoring._draw(size, rng)
     return TrialDataset(
-        times=times,
-        events=events,
-        covariates=z,
+        times=np.minimum(latent, c),
+        events=(latent <= c).astype(np.int64),
+        covariates=dist.support[levels],
         trial_ids=np.full(size, label, dtype=object),
         label=label,
     )
@@ -382,20 +378,11 @@ def simulate_scenario(spec: ScenarioSpec, replicate: int = 0) -> list[TrialDatas
     whichever other replicates are drawn and in whatever order.
     """
     rng = replicate_stream(spec.seed, replicate)
-    out = []
-    for i, (effect, size) in enumerate(zip(spec.trial_effects, spec.sizes), start=1):
-        out.append(
-            simulate_trial(
-                effect,
-                size,
-                spec.covariate_dist,
-                baseline=spec.baseline,
-                censoring=spec.censoring,
-                rng=rng,
-                label=f"trial{i}",
-            )
-        )
-    return out
+    law, baseline, censoring = spec.covariate_dist, spec.baseline, spec.censoring
+    return [
+        simulate_trial(effect, size, law, baseline, censoring, rng, f"trial{i}")
+        for i, (effect, size) in enumerate(zip(spec.trial_effects, spec.sizes), start=1)
+    ]
 
 
 def pool(trials: Sequence[TrialDataset]) -> TrialDataset:
@@ -417,8 +404,13 @@ def pool(trials: Sequence[TrialDataset]) -> TrialDataset:
 
 
 # ---------------------------------------------------------------------------
-# Patient-line CSV: header trial_id,time,event,z1,...,zk
+# Patient-line CSV
 # ---------------------------------------------------------------------------
+
+
+def _patient_header(k: int) -> list[str]:
+    """The patient-line header for ``k`` covariates."""
+    return ["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)]
 
 
 def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -438,7 +430,7 @@ def write_patient_csv(datasets: Sequence[TrialDataset], path) -> None:
     if datasets:
         d = pool(datasets)  # DimensionMismatchError unless the trials share k
         columns, k = [d.trial_ids, d.times, d.events, *d.covariates.T], d.k
-    _write_csv(path, ["trial_id", "time", "event"] + [f"z{j + 1}" for j in range(k)], columns)
+    _write_csv(path, _patient_header(k), columns)
 
 
 # Records converted and checked together.  Python row lists cost far more
@@ -667,20 +659,20 @@ def _read_trial_table(path) -> tuple[TrialDataset | None, dict[str, int]]:
     :func:`read_patient_csv` for the format.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        required = _patient_header(0)
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise SchemaError("empty file", missing=["trial_id", "time", "event"]) from None
+            raise SchemaError("empty file", missing=required) from None
         except csv.Error as exc:
             raise ParseError(str(exc), line=1) from None
-        expected = ["trial_id", "time", "event"]
-        missing = [c for c in expected if c not in header]
+        missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError("bad patient-line header", missing=missing)
-        k = len(header) - 3
-        if header[:3] != expected or header[3:] != [f"z{j + 1}" for j in range(k)]:
+        k = len(header) - len(required)
+        if header != _patient_header(k):
             raise SchemaError(
-                f"header must be trial_id,time,event,z1,...,zk; got {','.join(header)}"
+                f"header must be {','.join(required)},z1,...,zk; got {','.join(header)}"
             )
         codes: dict[str, int] = {}
         parts = []
@@ -715,38 +707,31 @@ def _read_trial_table(path) -> tuple[TrialDataset | None, dict[str, int]]:
 # Scenario JSON config mirroring ScenarioSpec field for field
 # ---------------------------------------------------------------------------
 
-def _censoring_to_json(c: CensoringScheme) -> dict:
-    if isinstance(c, NoCensoring):
-        return {"kind": "none"}
-    if isinstance(c, AdministrativeCensoring):
-        return {"kind": "administrative", "t_max": c.t_max}
-    return {"kind": "exponential", "rate": c.rate}
+# The kinds of each ScenarioSpec field that is a union, by their JSON names
+_KINDS = {
+    "baseline": {"identity": IdentityBaseline, "weibull": WeibullBaseline},
+    "censoring": {
+        "none": NoCensoring,
+        "administrative": AdministrativeCensoring,
+        "exponential": ExponentialCensoring,
+    },
+}
 
 
-def _censoring_from_json(obj: dict) -> CensoringScheme:
+def _kind_to_json(value, what: str) -> dict:
+    """``{"kind": name, **fields}`` of the baseline or censoring ``value``."""
+    kind = next(name for name, cls in _KINDS[what].items() if type(value) is cls)
+    return {"kind": kind} | {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+def _kind_from_json(obj: dict, what: str):
+    """The baseline or censoring scheme ``obj`` names; a field with a default may be left out."""
     kind = obj.get("kind")
-    if kind == "none":
-        return NoCensoring()
-    if kind == "administrative":
-        return AdministrativeCensoring(t_max=float(obj["t_max"]))
-    if kind == "exponential":
-        return ExponentialCensoring(rate=float(obj["rate"]))
-    raise ParseError(f"unknown censoring kind {kind!r}")
-
-
-def _baseline_to_json(b: Baseline) -> dict:
-    if isinstance(b, IdentityBaseline):
-        return {"kind": "identity"}
-    return {"kind": "weibull", "shape": b.shape, "scale": b.scale}
-
-
-def _baseline_from_json(obj: dict) -> Baseline:
-    kind = obj.get("kind")
-    if kind == "identity":
-        return IdentityBaseline()
-    if kind == "weibull":
-        return WeibullBaseline(shape=float(obj["shape"]), scale=float(obj.get("scale", 1.0)))
-    raise ParseError(f"unknown baseline kind {kind!r}")
+    for name, cls in _KINDS[what].items():
+        if name == kind:
+            given = [f.name for f in fields(cls) if f.default is MISSING or f.name in obj]
+            return cls(**{key: float(obj[key]) for key in given})
+    raise ParseError(f"unknown {what} kind {kind!r}")
 
 
 def scenario_to_json(spec: ScenarioSpec) -> dict:
@@ -757,8 +742,8 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
             "support": [[float(v) for v in row] for row in spec.covariate_dist.support],
             "probs": [float(v) for v in spec.covariate_dist.probs],
         },
-        "baseline": _baseline_to_json(spec.baseline),
-        "censoring": _censoring_to_json(spec.censoring),
+        "baseline": _kind_to_json(spec.baseline, "baseline"),
+        "censoring": _kind_to_json(spec.censoring, "censoring"),
         "seed": spec.seed,
     }
 
@@ -805,7 +790,7 @@ def scenario_from_json(obj) -> ScenarioSpec:
             trial_effects=tuple(np.asarray(e, dtype=float) for e in obj["trial_effects"]),
             sizes=tuple(_json_int(s, "sizes") for s in obj["sizes"]),
             covariate_dist=dist,
-            baseline=_baseline_from_json(obj.get("baseline", {"kind": "identity"})),
-            censoring=_censoring_from_json(obj.get("censoring", {"kind": "none"})),
+            # an absent field keeps ScenarioSpec's default
+            **{what: _kind_from_json(obj[what], what) for what in _KINDS if what in obj},
             seed=_json_int(obj.get("seed", 0), "seed"),
         )

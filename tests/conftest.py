@@ -21,6 +21,7 @@ from hrmix import (
     ScenarioSpec,
     SchemaError,
     TrialDataset,
+    estimators,
 )
 
 
@@ -247,3 +248,15 @@ def example3_scenario(bernoulli_half):
         covariate_dist=bernoulli_half,
         seed=20260808,
     )
+
+
+@pytest.fixture()
+def uncertified_rule(monkeypatch):
+    """The fixed rule certifies no integral, so no general pooled-limit root is certified."""
+    rule = estimators._rule_certified
+
+    def never_certified(*args):
+        total, within = rule(*args)
+        return total, np.zeros_like(within, dtype=bool)
+
+    monkeypatch.setattr(estimators, "_rule_certified", never_certified)

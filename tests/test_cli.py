@@ -17,7 +17,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hrmix
-from hrmix import NonConvergenceError, TrialDataset, scenario_to_json, solve_cpl_binary
+from hrmix import (
+    InverseVariance,
+    NonConvergenceError,
+    TrialAggregate,
+    TrialDataset,
+    linear_hr,
+    linear_log_hr,
+    scenario_to_json,
+    solve_cpl_binary,
+)
+from hrmix import cli
 from hrmix.cli import _build_parser, _empirical_dist, main
 
 
@@ -230,6 +240,117 @@ def test_grid_exits_2_exactly_outside_its_domain(flags):
 
 _LAW = {"support": [[0.0], [1.0]], "probs": [0.5, 0.5]}
 
+_SEED = (st.integers(0, 2**64 - 1), ["-1", str(2**64), "1.5", "nan"])
+_HR = (st.floats(0.2, 3.0), ["0", "-1", "nan", "inf"])
+_ENDS = st.sampled_from(["0.5", "1", "2.5", "inf"])
+_STUDY_ENDS = st.lists(_ENDS, min_size=1, max_size=3, unique=True).map(",".join)
+# per command: each flag's legal values and values outside its domain
+_RUN_FLAGS = {
+    "estimate": {
+        "--null": (st.floats(-3.0, 3.0), ["nan", "inf", "-inf"]),
+        "--weights": (st.sampled_from(list(cli._WEIGHTS)), ["equal", ""]),
+    },
+    "simulate": {
+        "--replicate": (st.integers(0, 2**64 - 1), ["-1", str(2**64), "2.5"]),
+        "--seed": _SEED,
+    },
+    "sweep": {
+        "--tmax-grid": (_STUDY_ENDS, ["", "0", "-1", "nan", "1,1.0", "inf,none"]),
+        "--replicates": (st.integers(100, 110), ["99", "0", "-1", "1e3"]),
+        "--threads": (st.integers(-2, 4), ["x", "1.5"]),
+        "--seed": _SEED,
+    },
+    "breslow": {
+        "--a": _HR,
+        "--b": _HR,
+        "--p": (st.floats(0.05, 0.95), ["0", "1", "-0.5", "nan"]),
+        "--subjects": (st.integers(400, 1500), ["3", "0", "-5", "nan"]),
+        "--seed": _SEED,
+        "--window": (st.integers(5, 40), ["0", "-1", "1000000"]),
+        "--t-max": (st.floats(0.5, 3.0), ["0", "-1", "nan", "inf"]),
+        "--points": (st.integers(1, 8), ["0", "-1", "2.5"]),
+    },
+}
+# estimate's keys from aggregates; patient lines add pooled_mple and per_trial
+_ESTIMATE_KEYS = {
+    "weights", "linear_log", "linear_hr", "misspecified", "harmonic_mean", "wald_harmonic_mean"
+}
+
+
+@st.composite
+def _run(draw, command):
+    """Small legal flags for ``command``, then up to two of them set to an
+    illegal value; returns the flags and how many were broken."""
+    table = _RUN_FLAGS[command]
+    flags = {flag: draw(legal) for flag, (legal, _) in table.items()}
+    broken = draw(st.lists(st.sampled_from(sorted(table)), max_size=2, unique=True))
+    for flag in broken:
+        flags[flag] = draw(st.sampled_from(table[flag][1]))
+    return flags, len(broken)
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("command", sorted(_RUN_FLAGS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_commands_exit_0_2_or_3_and_keep_their_promise(command, data):
+    """No traceback; exit 2 only for a broken flag, and then no output file;
+    exit 0 with the promised JSON keys or rows."""
+    flags, n_broken = data.draw(_run(command))
+    sizes = data.draw(st.tuples(st.integers(8, 30), st.integers(8, 30)))
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, outputs = Path(tmp) / "in", Path(tmp) / "out"
+        inputs.mkdir()
+        outputs.mkdir()
+        scenario = {"trial_effects": [[-1.2], [-0.2]], "sizes": list(sizes), "covariate_dist": _LAW}
+        (inputs / "scenario.json").write_text(json.dumps(scenario))
+        argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+        out = outputs / "out.csv"
+        lines = command == "estimate" and data.draw(st.booleans())
+        if lines:
+            spec = hrmix.scenario_from_json(inputs / "scenario.json")
+            hrmix.write_patient_csv(hrmix.simulate_scenario(spec), inputs / "lines.csv")
+            argv += ["--lines", str(inputs / "lines.csv")]
+        elif command == "estimate":
+            trials = [
+                {"n": n, "beta_hat": [beta], "covariance": [[0.05]]}
+                for n, beta in zip(sizes, (-1.2, -0.2))
+            ]
+            aggs = {"trials": trials, "covariate_dist": _LAW}
+            (inputs / "aggs.json").write_text(json.dumps(aggs))
+            argv += ["--aggregates", str(inputs / "aggs.json")]
+        else:
+            argv += [f"--out={out}"]
+            if command != "breslow":
+                argv += ["--scenario", str(inputs / "scenario.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = _exit_status(argv)
+        assert code in (0, 2, 3) and "Traceback" not in stderr.getvalue()
+        if not n_broken:
+            assert code != 2, stderr.getvalue()
+        if code != 0:
+            assert list(outputs.iterdir()) == []
+            return
+        if command == "estimate":
+            keys = _ESTIMATE_KEYS | ({"pooled_mple", "per_trial"} if lines else set())
+            assert json.loads(stdout.getvalue()).keys() == keys
+            return
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["command"] == command
+        rows = _csv_rows(out)
+        if command == "simulate":
+            assert len(rows) == sum(sizes)
+        elif command == "sweep":
+            ends = {float(v) for v in flags["--tmax-grid"].split(",")}
+            assert [float(r["t_max"]) for r in rows] == sorted(ends)
+        else:
+            series = [r["series"] for r in rows]
+            assert series.count("analytic") == flags["--points"] and series.count("empirical") >= 1
+
 
 class TestEstimate:
     def _aggregates_file(self, tmp_path, beta1, beta2, var=0.02):
@@ -275,6 +396,42 @@ class TestEstimate:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["estimate", "--aggregates", "/nonexistent.json"]) == 2
+
+    def test_inverse_variance_weights(self, capsys, tmp_path):
+        path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8))
+        out = _run_json(capsys, ["estimate", "--aggregates", path, "--weights=inverse-variance"])
+        aggs = [
+            TrialAggregate(beta_hat=[math.log(0.3)], covariance=[[0.02]], size=400),
+            TrialAggregate(beta_hat=[math.log(0.8)], covariance=[[0.02]], size=170),
+        ]
+        for key, effect in (
+            ("linear_log", linear_log_hr(aggs, InverseVariance())),
+            ("linear_hr", linear_hr(aggs, InverseVariance(), z=1.0)),
+        ):
+            assert out[key]["estimate"] == effect.estimate.tolist()
+            assert out[key]["covariance"] == effect.covariance.tolist()
+        assert out["weights"] == "inverse-variance"
+
+    def test_default_weights_are_size(self, capsys, tmp_path):
+        path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8))
+        default = _run_json(capsys, ["estimate", "--aggregates", path])
+        assert default == _run_json(capsys, ["estimate", "--aggregates", path, "--weights=size"])
+        assert default != _run_json(
+            capsys, ["estimate", "--aggregates", path, "--weights=inverse-variance"]
+        )
+
+    def test_unknown_weights_exit_2(self, capsys, tmp_path):
+        path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8))
+        assert _exit_status(["estimate", "--aggregates", path, "--weights=equal"]) == 2
+        assert "invalid choice: 'equal'" in capsys.readouterr().err
+
+    def test_uncertified_root_exits_3(self, capsys, tmp_path, uncertified_rule):
+        path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8))
+        assert main(["estimate", "--aggregates", path]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "hrmix: the fixed rule cannot certify the pooled-limit root\n",
+        )
 
     @pytest.mark.parametrize(
         "payload",
@@ -597,11 +754,20 @@ class TestManifests:
         argv = ["sweep", "--scenario", scenario_file, "--tmax-grid=inf,1", "--replicates=100"]
         config = {
             "scenario": scenario_to_json(replace(example3_scenario, seed=seed)),
-            "tmax_grid": [math.inf, 1.0],  # as given, not sorted
+            "tmax_grid": [1.0, math.inf],
             "replicates": 100,
             "seed": seed,
         }
         self._assert_manifest(tmp_path, [*argv, f"--threads={threads}", *flags], config)
+
+    def test_sweep_study_end_order_leaves_the_manifest_alone(self, tmp_path, scenario_file):
+        manifests = []
+        for grid in ("1,inf", "inf,1"):
+            out = tmp_path / f"{grid}.csv"
+            argv = ["sweep", "--scenario", scenario_file, f"--tmax-grid={grid}", "--replicates=100"]
+            assert main([*argv, "--out", str(out)]) == 0
+            manifests.append(Path(f"{out}.manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     def test_breslow(self, tmp_path):
         argv = ["breslow", "--a=0.5", "--b=1", "--p=0.5", "--subjects=4000", "--points=5"]

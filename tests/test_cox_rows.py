@@ -139,6 +139,41 @@ def test_eventless_rows_first_in_the_middle_and_last():
         assert not value[eventless].any()
 
 
+_T = np.array([[3.0, 2.0, 1.0]])
+_D = np.array([[1, 0, 1]])
+_Z = np.array([[[0.0], [1.0], [0.5]]])
+
+
+@pytest.mark.parametrize(
+    "times, events, z, message",
+    [
+        (_T[0], _D, _Z, "need (R, n) times and events and (R, n, k) covariates"),
+        (_T, _D[:, :2], _Z, "need (R, n) times and events and (R, n, k) covariates"),
+        (_T, _D, _Z[..., 0], "need (R, n) times and events and (R, n, k) covariates"),
+        (_T[:, :0], _D[:, :0], _Z[:, :0], "need at least one subject and one covariate"),
+        (_T, _D, _Z[..., :0], "need at least one subject and one covariate"),
+        (_T, np.array([[1, 2, 0]]), _Z, "events must be 0 or 1"),
+        (np.array([[3.0, np.nan, 1.0]]), _D, _Z, "times and covariates must be finite"),
+        (_T, _D, np.array([[[0.0], [np.inf], [0.5]]]), "times and covariates must be finite"),
+        (_T[:, ::-1], _D, _Z, "each row must be sorted by descending time"),
+    ],
+    ids=[
+        "1-d-times",
+        "short-events",
+        "2-d-covariates",
+        "no-subject",
+        "no-covariate",
+        "event-2",
+        "nan-time",
+        "inf-covariate",
+        "ascending",
+    ],
+)
+def test_fit_cox_rows_rejects_bad_input(times, events, z, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit_cox_rows(times, events, z)
+
+
 def test_contrast_only_before_the_first_event_is_singular():
     # z is on the line z2 = 0.3 z1 + 0.1 but for a subject censored first
     times = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]])

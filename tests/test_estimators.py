@@ -15,6 +15,7 @@ from hrmix import (
     DimensionMismatchError,
     InverseVariance,
     MissingVarianceError,
+    NonConvergenceError,
     ScenarioSpec,
     SingularMatrixError,
     SingularVarianceError,
@@ -280,6 +281,10 @@ class TestSolveThetaPlGeneral:
         assert math.exp(theta[0]) == pytest.approx(
             solve_cpl_binary(0.08, 0.5, 0.5, 0.5), abs=1e-8
         )
+
+    def test_uncertified_root_raises(self, bernoulli_half, uncertified_rule):
+        with pytest.raises(NonConvergenceError, match="cannot certify the pooled-limit root"):
+            solve_theta_pl_general([math.log(0.3)], [math.log(0.8)], 0.5, bernoulli_half)
 
 
 class TestSolveCensoredBinary:

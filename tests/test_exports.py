@@ -1,15 +1,19 @@
 """Module boundaries: every exported name exists, so a deletion cannot leave a
 stale export, only ``hrmix.data`` reads or writes CSV, and no module keeps an
-import it does not use."""
+import it does not use.  README lists every export, every scenario kind and
+every ``--weights`` name, as the code defines them."""
 
 import ast
 import importlib
 import pkgutil
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import hrmix
+from hrmix import cli, data
 
 MODULES = ["hrmix"] + sorted(m.name for m in pkgutil.iter_modules(hrmix.__path__, "hrmix."))
 
@@ -54,3 +58,44 @@ def test_no_unused_imports(name):
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used - set(getattr(module, "__all__", [])) == set()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _backticked(text):
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_api_section_lists_every_all():
+    section = README.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        item.group(1): _backticked(item.group(2))
+        for item in re.finditer(r"^- `(hrmix\.\w+)`:(.*?)(?=^- |\Z)", section, flags=re.M | re.S)
+    }
+    exported = {
+        name: list(importlib.import_module(name).__all__)
+        for name in MODULES
+        if hasattr(importlib.import_module(name), "__all__")
+    }
+    assert listed == exported
+
+
+def test_readme_names_every_scenario_kind_and_field():
+    for what, kinds in data._KINDS.items():
+        sentence = re.search(rf"`{what}` kinds: (.*?)\.\s", README, flags=re.S).group(1)
+        named = {
+            kind: _backticked(with_fields)
+            for kind, with_fields in re.findall(r"`(\w+)`(?:\s+\(with ([^)]*)\))?", sentence)
+        }
+        assert named == {kind: [f.name for f in fields(cls)] for kind, cls in kinds.items()}
+
+
+def test_readme_names_every_weights_scheme():
+    sentence = re.search(r"`estimate --weights` (.*?)\.\s", README, flags=re.S).group(1)
+    named = re.findall(r"`([\w-]+)`\s+\((the default,\s+)?`(\w+)`\)", sentence)
+    assert [(flag, cls) for flag, _, cls in named] == [
+        (flag, cls.__name__) for flag, cls in cli._WEIGHTS.items()
+    ]
+    # the first name is the default
+    assert [bool(default) for _, default, _ in named] == [True] + [False] * (len(named) - 1)
