@@ -26,7 +26,7 @@ from .data import (
 )
 from .errors import HrmixError
 from .estimators import (
-    _cpl_binary,
+    _binary_limit,
     c_hm_binary,
     solve_cpl_binary,
     solve_theta_pl_general,
@@ -86,14 +86,13 @@ class OrderingReport:
 def proposition3_check(a: float, b: float, p: float, q: float) -> OrderingReport:
     """Evaluate both ordering chains between the combined-effect definitions.
 
-    Requires 0 < a <= b and p, q in (0, 1).  Flags are true only when
-    every margin in the chain exceeds 10x the solver tolerance; the a = b
-    case is reported as a boundary rather than a violation.
+    Requires 0 < a <= b and p, q in (0, 1); the solvers check p and q.
+    Flags are true only when every margin in the chain exceeds 10x the
+    solver tolerance; the a = b case is reported as a boundary rather than
+    a violation.
     """
     if not (0 < a <= b):
         raise ValueError("need 0 < a <= b")
-    if not (0 < p < 1 and 0 < q < 1):
-        raise ValueError("p and q must lie in (0, 1)")
     c_hm = c_hm_binary(a, b, p)
     exp_theta_l = a**p * b ** (1 - p)
     c_l = p * a + (1 - p) * b
@@ -233,7 +232,7 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
     if replicates < 100:
         raise ValueError("need at least 100 replicates for stable percentiles")
     grid = np.asarray(sorted(float(t) for t in t_max_grid), dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
+    if grid.size == 0 or np.any(grid[1:] <= grid[:-1]):
         raise ValueError("t_max grid must be nonempty with distinct values")
     if not np.all(grid > 0):
         raise ValueError("t_max values must be positive (and not NaN)")
@@ -339,7 +338,8 @@ def _sweep_plugin(alpha, beta, p, binary_q, dist):
     beta = beta.reshape(-1, beta.shape[-1])[cells]
     out = theta_m.reshape(-1)
     if binary_q is not None:
-        out[cells] = np.log(_cpl_binary(np.exp(alpha[:, 0]), np.exp(beta[:, 0]), p, binary_q))
+        c, _ = _binary_limit(np.exp(alpha[:, 0]), np.exp(beta[:, 0]), p, binary_q, np.inf)
+        out[cells] = np.log(c)
         return theta_m
     for i, cell in enumerate(cells):
         try:

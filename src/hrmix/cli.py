@@ -146,7 +146,7 @@ def _cmd_estimate(args) -> int:
                 estimators.CombineMethod.POOLED_MPLE,
                 pooled_fit.beta_hat,
                 pooled_fit.covariance,
-                estimators._mixing_p(aggregates),
+                estimators._size_shares(aggregates)[0],
             )
         )
         out["per_trial"] = [
@@ -160,17 +160,16 @@ def _cmd_estimate(args) -> int:
         ]
     out["linear_log"] = _effect_json(estimators.linear_log_hr(aggregates, scheme))
     out["linear_hr"] = _effect_json(estimators.linear_hr(aggregates, scheme, z=1.0))
-    if len(aggregates) == 2:
-        out["misspecified"] = _effect_json(estimators.theta_m_estimate(aggregates, dist))
-        hm = estimators.theta_hm_estimate(aggregates, dist)
-        out["harmonic_mean"] = _effect_json(hm)
-        wald = estimators.wald_test(hm, null_value=args.null, component=0)
-        out["wald_harmonic_mean"] = {
-            "statistic": wald.statistic,
-            "p_value": wald.p_value,
-            "null_value": wald.null_value,
-            "component": 0,
-        }
+    out["misspecified"] = _effect_json(estimators.theta_m_estimate(aggregates, dist))
+    hm = estimators.theta_hm_estimate(aggregates, dist)
+    out["harmonic_mean"] = _effect_json(hm)
+    wald = estimators.wald_test(hm, null_value=args.null, component=0)
+    out["wald_harmonic_mean"] = {
+        "statistic": wald.statistic,
+        "p_value": wald.p_value,
+        "null_value": wald.null_value,
+        "component": 0,
+    }
     _print_json(out)
     return 0
 

@@ -48,8 +48,8 @@ class DegenerateDataError(HrmixError):
     """
 
 
-class SingularVarianceError(HrmixError):
-    """Inverse-variance weighting received a zero-variance component."""
+class SingularVarianceError(HrmixError, ValueError):
+    """Inverse-variance weighting received a zero-variance component: an input error."""
 
 
 class MissingVarianceError(HrmixError):

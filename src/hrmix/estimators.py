@@ -1,6 +1,6 @@
 """Rival definitions of the combined treatment effect and their variances.
 
-Five ways to summarize two proportional-hazards trials whose true log
+Five ways to summarize m >= 2 proportional-hazards trials whose true log
 hazard ratios differ:
 
 * linear combinations on the log scale (``linear_log_hr``) or hazard-ratio
@@ -176,26 +176,15 @@ class WaldResult:
     null_value: float
 
 
-def _check_aggregates(aggregates) -> int:
+def _check_aggregates(aggregates, dist: CovariateDistribution | None = None) -> int:
     if len(aggregates) < 2:
         raise ValueError("need at least 2 trial aggregates")
     k = aggregates[0].k
     if any(a.k != k for a in aggregates):
         raise DimensionMismatchError("aggregates disagree on dimension")
-    return k
-
-
-def _two_trials(aggregates, dist: CovariateDistribution, estimate: str):
-    """Validate the two-trial input of a plug-in estimate.
-
-    Returns the two aggregates and the mixing proportion of the first.
-    """
-    if len(aggregates) != 2:
-        raise ValueError(f"the {estimate} is defined for exactly 2 trials")
-    if _check_aggregates(aggregates) != dist.k:
+    if dist is not None and dist.k != k:
         raise DimensionMismatchError("aggregates and covariate law disagree on dimension")
-    first, second = aggregates
-    return first, second, _mixing_p(aggregates)
+    return k
 
 
 def _weight_matrix(aggregates, scheme: WeightScheme) -> np.ndarray:
@@ -220,9 +209,11 @@ def _weight_matrix(aggregates, scheme: WeightScheme) -> np.ndarray:
     return w / w.sum(axis=0, keepdims=True)
 
 
-def _mixing_p(aggregates) -> float:
+def _size_shares(aggregates) -> list:
+    """Each trial's share of the subjects; the last is one minus the others."""
     total = sum(a.size for a in aggregates)
-    return aggregates[0].size / total
+    shares = [a.size / total for a in aggregates[:-1]]
+    return shares + [1 - sum(shares)]
 
 
 def linear_log_hr(aggregates, scheme: WeightScheme = InverseVariance()) -> CombinedEffect:
@@ -236,7 +227,7 @@ def linear_log_hr(aggregates, scheme: WeightScheme = InverseVariance()) -> Combi
     w = _weight_matrix(aggregates, scheme)
     est = sum(w[i] * a.beta_hat for i, a in enumerate(aggregates))
     cov = sum(np.outer(w[i], w[i]) * a.covariance for i, a in enumerate(aggregates))
-    return CombinedEffect(CombineMethod.LINEAR_LOG, est, cov, _mixing_p(aggregates))
+    return CombinedEffect(CombineMethod.LINEAR_LOG, est, cov, _size_shares(aggregates)[0])
 
 
 def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> CombinedEffect:
@@ -253,7 +244,7 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
     est = (w * hr).sum(axis=0)
     grad = w * hr * z  # d est_j / d beta_ij
     cov = sum(np.outer(grad[i], grad[i]) * a.covariance for i, a in enumerate(aggregates))
-    return CombinedEffect(CombineMethod.LINEAR_HR, est, cov, _mixing_p(aggregates))
+    return CombinedEffect(CombineMethod.LINEAR_HR, est, cov, _size_shares(aggregates)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +428,14 @@ def _certified(c, a, b, p, q, upper):
     return c
 
 
-def _cpl_binary(a, b, p, q):
-    """:func:`solve_cpl_binary` with each uncertified cell NaN instead of raising."""
+def _binary_limit(a, b, p, q, H):
+    """The binary pooled limit at study-end cumulative hazard ``H``, each
+    uncertified cell NaN, and the upper limit min(H, 50) it was solved on."""
     _validate_binary_args(a, b, p, q)
-    return _pooled_limit_binary(a, b, p, q, _TAIL_CUT, 1.0)
+    if not np.all(np.asarray(H) > 0):
+        raise ValueError("H must be positive")
+    upper = np.minimum(H, _TAIL_CUT)
+    return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper)), upper
 
 
 def solve_cpl_binary(a, b, p, q):
@@ -451,9 +446,9 @@ def solve_cpl_binary(a, b, p, q):
         1 = integral_0^inf [(1-q) e^-u + pqa e^-au + (1-p)qb e^-bu]
             / [(1-q) e^-u + pqc e^-au + (1-p)qc e^-bu] * e^-u du,
 
-    truncated at u = 50.  The right side is strictly decreasing and
-    convex in c, so the solution is unique and lies strictly between a
-    and b.
+    truncated at u = 50: :func:`solve_censored_binary` at H = inf.  The
+    right side is strictly decreasing and convex in c, so the solution is
+    unique and lies strictly between a and b.
 
     ``a``, ``b``, ``p`` and ``q`` broadcast against each other: scalars
     give a float, arrays an array of limits, one per cell.  All cells are
@@ -468,7 +463,7 @@ def solve_cpl_binary(a, b, p, q):
     cell still fails, NonConvergenceError names it.  A cell with a == b
     returns a exactly.
     """
-    return _certified(_cpl_binary(a, b, p, q), a, b, p, q, _TAIL_CUT)
+    return solve_censored_binary(a, b, p, q, np.inf)
 
 
 def solve_censored_binary(a, b, p, q, H):
@@ -479,32 +474,28 @@ def solve_censored_binary(a, b, p, q, H):
 
         1 - e^-H = integral_0^H (same integrand as the uncensored case) du,
 
-    with H capped at 50.  The solution exceeds the uncensored limit for
-    every finite H and decays to it as H grows: censoring always biases
-    the pooled fit toward the null.
+    with H capped at 50, so any H of 50 or more gives the uncensored
+    limit exactly.  The solution exceeds the uncensored limit for every
+    smaller H and decays to it as H grows: censoring always biases the
+    pooled fit toward the null.
 
     ``a``, ``b``, ``p``, ``q`` and ``H`` broadcast against each other and
     are solved as in :func:`solve_cpl_binary`: Newton on the same fixed
     rule over [0, min(H, 50)], certified by the same test, with one
     refinement before NonConvergenceError.
     """
-    _validate_binary_args(a, b, p, q)
-    if not np.all(np.asarray(H) > 0):
-        raise ValueError("H must be positive")
-    upper = np.minimum(H, _TAIL_CUT)
-    c = _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper))
+    c, upper = _binary_limit(a, b, p, q, H)
     return _certified(c, a, b, p, q, upper)
 
 
-def _limit_args(alpha, beta, p, dist):
-    """Validate the inputs of a general combined-effect solver."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if alpha.shape != beta.shape or alpha.shape != (dist.k,):
+def _trial_lists(alpha, beta, p, dist):
+    """The two-trial inputs of a public solver as per-trial effects and weights."""
+    effects = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (alpha, beta)]
+    if any(e.shape != (dist.k,) for e in effects):
         raise DimensionMismatchError("alpha, beta, and the covariate law disagree on dimension")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
-    return alpha, beta
+    return effects, [p, 1 - p]
 
 
 def _check_span(points, k):
@@ -512,36 +503,37 @@ def _check_span(points, k):
         raise SingularMatrixError("the covariate law's support spans fewer than k dimensions")
 
 
-def _pl_equation(alpha, beta, p, dist):
+def _pl_equation(effects, weights, dist):
     """The general pooled-limit estimating equation on the fixed rule.
 
-    In the baseline cumulative hazard u, R(theta) = integral_0^inf
-    S1/S0 M du - E(Z) with S_r = sum_i pi_i e^{theta'z_i} z_i^r D_i(u),
-    D_i = p e^{-u ra_i} + (1-p) e^{-u rb_i}, ra_i = e^{alpha'z_i},
-    rb_i = e^{beta'z_i}, and the event density M = -sum_i pi_i D_i'.
+    ``effects`` holds each trial's log hazard ratio beta_j and ``weights``
+    its share w_j of the subjects, in trial order.  In the baseline
+    cumulative hazard u, R(theta) = integral_0^inf S1/S0 M du - E(Z) with
+    S_r = sum_i pi_i e^{theta'z_i} z_i^r D_i(u), D_i = sum_j w_j e^{-u r_ji},
+    r_ji = e^{beta_j'z_i}, and the event density M = -sum_i pi_i D_i'.
     The partial likelihood ignores a shift of Z, so Z is measured from
     the last support point; the integrand then decays like the slowest
     rate of the other points, and the last panel ends where that rate
-    has decayed by e^-_TAIL_CUT.  For the {0, 1} law the residual is
-    -(1-q) times the binary one on the same panels.
+    has decayed by e^-_TAIL_CUT.  For the {0, 1} law and two trials the
+    residual is -(1-q) times the binary one on the same panels.
 
     R is the gradient of the expected log partial likelihood Phi(theta) =
     integral_0^inf log(S0) M du - theta'E(Z) (Struthers & Kalbfleisch 1986).
     Returns ``equation(theta, inputs=False)``: Phi(theta), R(theta),
-    dR/dtheta and whether the rule certifies R, then with ``inputs``
-    dR/dalpha and dR/dbeta, all on the same nodes in one pass.
+    dR/dtheta, whether the rule certifies R, and the list of dR/dbeta_j,
+    empty unless ``inputs``, all on the same nodes in one pass.
     """
     if dist.support.shape[0] < 2:
         raise ValueError("the pooled limit needs a covariate law with two or more points")
     _check_span(dist.support - dist.support[-1], dist.k)
     z, pi = dist.support, dist.probs
-    ra, rb = np.exp(z @ alpha), np.exp(z @ beta)
-    upper = np.array(_TAIL_CUT / np.minimum(ra[:-1], rb[:-1]).min())
-    first, n_geo = _rule_panels(max(ra.max(), rb.max()), upper)
+    rates = [np.exp(z @ beta) for beta in effects]
+    upper = np.array(_TAIL_CUT / min(r[:-1].min() for r in rates))
+    first, n_geo = _rule_panels(max(r.max() for r in rates), upper)
     u, weight, half = _rule_nodes(first, upper, int(n_geo))
     u, flat = u.reshape(-1, 1), weight.ravel()
-    ea, eb = p * np.exp(-u * ra), (1 - p) * np.exp(-u * rb)  # (nodes, points)
-    mass = ea @ (pi * ra) + eb @ (pi * rb)
+    terms = [w * np.exp(-u * r) for w, r in zip(weights, rates)]  # (nodes, points) each
+    mass = sum(t @ (pi * r) for t, r in zip(terms, rates))
     zs = z - z[-1]
 
     def equation(theta, inputs=False):
@@ -549,7 +541,9 @@ def _pl_equation(alpha, beta, p, dist):
         # objective makes Newton halve the step, or the certificate fails
         with np.errstate(all="ignore"):
             e = pi * np.exp(zs @ theta)
-            w = (ea + eb) * e
+            # summed from the first term, not from 0, so that the sum makes
+            # one (nodes, points) temporary, which the product then reuses
+            w = sum(terms[1:], terms[0]) * e
             s0 = w.sum(axis=1)
             xbar = (w @ zs) / s0[:, None]
             y = (xbar * mass[:, None]).T.reshape((-1,) + weight.shape)
@@ -559,31 +553,30 @@ def _pl_equation(alpha, beta, p, dist):
             g = wm / s0
             jac = (zs * (g @ w)[:, None]).T @ zs - (xbar * wm[:, None]).T @ xbar
             phi = wm @ np.log(s0) - theta @ (pi @ zs)
-            out = [phi, total - pi @ zs, jac, bool(within.all())]
-            for ex, rate in ((ea, ra), (eb, rb)) if inputs else ():
-                # alpha moves D_i by -u ra_i z_i p e^{-u ra_i} and M by
-                # pi_i ra_i (1 - u ra_i) z_i p e^{-u ra_i}; beta likewise
+            d_inputs = []
+            for ex, rate in zip(terms, rates) if inputs else ():
+                # beta_j moves D_i by -u r_ji z_i w_j e^{-u r_ji} and M by
+                # pi_i r_ji (1 - u r_ji) z_i w_j e^{-u r_ji}
                 via_d = g[:, None] * u * ex * (e * rate)
                 via_m = flat[:, None] * ex * (pi * rate) * (1 - u * rate)
                 d_input = xbar.T @ ((via_d + via_m) @ z)
-                out.append(d_input - (zs * via_d.sum(axis=0)[:, None]).T @ z)
-        return out
+                d_inputs.append(d_input - (zs * via_d.sum(axis=0)[:, None]).T @ z)
+        return phi, total - pi @ zs, jac, bool(within.all()), d_inputs
 
     return equation
 
 
-def _pl_root(alpha, beta, p, dist):
+def _pl_root(effects, weights, dist):
     """The general pooled limit and the equation it solves."""
-    alpha, beta = _limit_args(alpha, beta, p, dist)
-    equation = _pl_equation(alpha, beta, p, dist)
-    if np.array_equal(alpha, beta):
-        return alpha.copy(), equation
-    start = p * alpha + (1 - p) * beta
+    equation = _pl_equation(effects, weights, dist)
+    if all(np.array_equal(effects[0], beta) for beta in effects[1:]):
+        return effects[0].copy(), equation
+    start = sum(w * beta for w, beta in zip(weights, effects))
     theta = _newton_min(lambda t: equation(t)[:3], start, _ROOT_TOL)
     # Newton converges quadratically, so two more steps take a root with
     # |R| <= _ROOT_TOL down to the rounding floor of R even where R is flat
     for _ in range(2):
-        _, resid, jac, within = equation(theta)
+        _, resid, jac, within, _ = equation(theta)
         if not within:
             raise NonConvergenceError("the fixed rule cannot certify the pooled-limit root")
         theta = theta - solve_linear(jac, resid)
@@ -604,18 +597,14 @@ def solve_theta_pl_general(alpha, beta, p: float, dist: CovariateDistribution) -
     integral exceeds max(1e-12, 1e-10 * |integral|) raises
     NonConvergenceError.
     """
-    return _pl_root(alpha, beta, p, dist)[0]
+    return _pl_root(*_trial_lists(alpha, beta, p, dist), dist)[0]
 
 
-def _ift_sensitivities(jac, d_alpha, d_beta):
-    """J_alpha = -(dR/dtheta)^-1 dR/dalpha and J_beta of a root of R."""
-    return solve_linear(jac, -d_alpha), solve_linear(jac, -d_beta)
-
-
-def _sandwich(jac, d_alpha, d_beta, cov_a, cov_b):
-    """Delta-method covariance of a root of R from the per-trial covariances."""
-    j_a, j_b = _ift_sensitivities(jac, d_alpha, d_beta)
-    cov = j_a @ cov_a @ j_a.T + j_b @ cov_b @ j_b.T
+def _sandwich(jac, d_inputs, covariances):
+    """Delta-method covariance sum_j J_j Cov_j J_j' of a root of R, with
+    implicit-function sensitivities J_j = -(dR/dtheta)^-1 dR/dbeta_j."""
+    sens = [solve_linear(jac, -d) for d in d_inputs]
+    cov = sum(j @ c @ j.T for j, c in zip(sens, covariances))
     return 0.5 * (cov + cov.T)
 
 
@@ -626,26 +615,27 @@ def theta_pl_sensitivity(alpha, beta, p: float, dist: CovariateDistribution):
     the implicit-function theorem J_alpha = -(dR/dtheta)^-1 dR/dalpha on
     the residual R.  At alpha = beta symmetry forces J_alpha + J_beta = I.
     """
-    theta, equation = _pl_root(alpha, beta, p, dist)
-    _, _, jac, _, d_alpha, d_beta = equation(theta, inputs=True)
-    return _ift_sensitivities(jac, d_alpha, d_beta)
+    theta, equation = _pl_root(*_trial_lists(alpha, beta, p, dist), dist)
+    _, _, jac, _, d_inputs = equation(theta, inputs=True)
+    return tuple(solve_linear(jac, -d) for d in d_inputs)
 
 
 def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     """Aggregate-data plug-in for the pooled-MPLE limit, with covariance.
 
-    Exactly two trials are supported; the mixing proportion comes from
-    their sizes.  The per-trial estimates are consistent for the true log
+    Any m >= 2 trials are combined, each weighted by its share of the
+    subjects.  The per-trial estimates are consistent for the true log
     hazard ratios whether or not the underlying data were censored, so
     this estimate stays unbiased for the uncensored pooled limit.  The
     covariance is the delta-method sandwich of the per-trial covariances
     with the implicit-function sensitivities of :func:`theta_pl_sensitivity`.
     """
-    first, second, p = _two_trials(aggregates, dist, "plug-in estimate")
-    theta, equation = _pl_root(first.beta_hat, second.beta_hat, p, dist)
-    _, _, jac, _, d_a, d_b = equation(theta, inputs=True)
-    cov = _sandwich(jac, d_a, d_b, first.covariance, second.covariance)
-    return CombinedEffect(CombineMethod.MISSPECIFIED, theta, cov, p)
+    _check_aggregates(aggregates, dist)
+    weights = _size_shares(aggregates)
+    theta, equation = _pl_root([a.beta_hat for a in aggregates], weights, dist)
+    _, _, jac, _, d_inputs = equation(theta, inputs=True)
+    cov = _sandwich(jac, d_inputs, [a.covariance for a in aggregates])
+    return CombinedEffect(CombineMethod.MISSPECIFIED, theta, cov, weights[0])
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +659,20 @@ def c_hm_binary(a, b, p):
     return float(out) if out.ndim == 0 else out
 
 
-def _hm_equation(theta, alpha, beta, p, dist):
-    """Minus ``analysis.kl_objective``, its gradient R(theta), dR/dtheta, dR/dalpha, dR/dbeta."""
+def _hm_equation(theta, effects, weights, dist):
+    """Minus ``analysis.kl_objective``, its gradient R(theta), dR/dtheta and each dR/dbeta_j."""
     z = dist.support
     et = dist.probs * np.exp(z @ theta)
-    wa = et * p * np.exp(-z @ alpha)
-    wb = et * (1 - p) * np.exp(-z @ beta)
-    d_a = (z * wa[:, None]).T @ z
-    d_b = (z * wb[:, None]).T @ z
-    value = (wa + wb).sum() - theta @ dist.mean
-    return value, (wa + wb) @ z - dist.mean, d_a + d_b, -d_a, -d_b
+    ws = [et * w * np.exp(-z @ beta) for w, beta in zip(weights, effects)]
+    ds = [(z * w[:, None]).T @ z for w in ws]
+    mix = sum(ws)
+    return mix.sum() - theta @ dist.mean, mix @ z - dist.mean, sum(ds), [-d for d in ds]
+
+
+def _hm_root(effects, weights, dist):
+    _check_span(dist.support, dist.k)
+    start = sum(w * beta for w, beta in zip(weights, effects))
+    return _newton_min(lambda t: _hm_equation(t, effects, weights, dist)[:3], start, _HM_TOL)
 
 
 def solve_theta_hm_general(alpha, beta, p: float, dist: CovariateDistribution) -> np.ndarray:
@@ -694,10 +688,7 @@ def solve_theta_hm_general(alpha, beta, p: float, dist: CovariateDistribution) -
     SingularMatrixError.  Newton with Armijo backtracking runs from
     p*alpha + (1-p)*beta to a score max-norm of 1e-12.
     """
-    alpha, beta = _limit_args(alpha, beta, p, dist)
-    _check_span(dist.support, dist.k)
-    start = p * alpha + (1 - p) * beta
-    return _newton_min(lambda t: _hm_equation(t, alpha, beta, p, dist)[:3], start, _HM_TOL)
+    return _hm_root(*_trial_lists(alpha, beta, p, dist), dist)
 
 
 def var_theta_hm_binary(
@@ -735,12 +726,13 @@ def var_theta_hm_general(aggregates, dist: CovariateDistribution) -> np.ndarray:
 
 
 def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
-    """Harmonic-mean combined effect with delta-method covariance."""
-    first, second, p = _two_trials(aggregates, dist, "harmonic-mean pipeline")
-    theta = solve_theta_hm_general(first.beta_hat, second.beta_hat, p, dist)
-    _, _, jac, d_a, d_b = _hm_equation(theta, first.beta_hat, second.beta_hat, p, dist)
-    cov = _sandwich(jac, d_a, d_b, first.covariance, second.covariance)
-    return CombinedEffect(CombineMethod.HARMONIC_MEAN, theta, cov, p)
+    """Harmonic-mean effect of m >= 2 trials by size share, with delta-method covariance."""
+    _check_aggregates(aggregates, dist)
+    effects, weights = [a.beta_hat for a in aggregates], _size_shares(aggregates)
+    theta = _hm_root(effects, weights, dist)
+    _, _, jac, d_inputs = _hm_equation(theta, effects, weights, dist)
+    cov = _sandwich(jac, d_inputs, [a.covariance for a in aggregates])
+    return CombinedEffect(CombineMethod.HARMONIC_MEAN, theta, cov, weights[0])
 
 
 def wald_test(effect: CombinedEffect, null_value: float = 0.0, component: int = 0) -> WaldResult:

@@ -71,11 +71,13 @@ class TestSolve:
             assert out[key] == pytest.approx(0.7, abs=1e-9)
 
     def test_censored_limit_flag(self, capsys):
-        out = _run_json(
-            capsys,
-            ["solve", "--a", "0.3", "--b", "0.8", "--p", "0.7", "--q", "0.5", "--tmax-H", "50"],
-        )
-        assert out["c_censored"] == pytest.approx(out["c_pl"], abs=1e-6)
+        # a study end of 50 or more is the uncensored limit exactly
+        for h in ("50", "inf"):
+            out = _run_json(
+                capsys,
+                ["solve", "--a", "0.3", "--b", "0.8", "--p", "0.7", "--q", "0.5", "--tmax-H", h],
+            )
+            assert out["c_censored"] == out["c_pl"]
 
     def test_subnormal_hazard_ratio(self, capsys):
         # p / a overflows in the direct harmonic mean; warnings are errors here
@@ -302,6 +304,8 @@ def test_commands_exit_0_2_or_3_and_keep_their_promise(command, data):
     exit 0 with the promised JSON keys or rows."""
     flags, n_broken = data.draw(_run(command))
     sizes = data.draw(st.tuples(st.integers(8, 30), st.integers(8, 30)))
+    # estimate --aggregates combines 2 to 4 trials
+    extra = data.draw(st.lists(st.integers(8, 30), max_size=2))
     with tempfile.TemporaryDirectory() as tmp:
         inputs, outputs = Path(tmp) / "in", Path(tmp) / "out"
         inputs.mkdir()
@@ -318,7 +322,7 @@ def test_commands_exit_0_2_or_3_and_keep_their_promise(command, data):
         elif command == "estimate":
             trials = [
                 {"n": n, "beta_hat": [beta], "covariance": [[0.05]]}
-                for n, beta in zip(sizes, (-1.2, -0.2))
+                for n, beta in zip([*sizes, *extra], (-1.2, -0.2, -0.7, 0.3))
             ]
             aggs = {"trials": trials, "covariate_dist": _LAW}
             (inputs / "aggs.json").write_text(json.dumps(aggs))
@@ -393,6 +397,28 @@ class TestEstimate:
         # uncensored pooled fit lands near the pooled limit
         assert out["pooled_mple"]["estimate"][0] == pytest.approx(-0.922, abs=0.3)
         assert out["per_trial"][0]["n"] == 400
+
+    def test_three_trials_report_every_effect(self, capsys, tmp_path):
+        path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8))
+        payload = json.loads(Path(path).read_text())
+        payload["trials"].append({"n": 250, "beta_hat": [-0.6], "covariance": [[0.03]]})
+        Path(path).write_text(json.dumps(payload))
+        out = _run_json(capsys, ["estimate", "--aggregates", path])
+        assert out.keys() == _ESTIMATE_KEYS
+        for key in ("misspecified", "harmonic_mean"):
+            assert out[key]["mixing_p"] == 400 / 820
+        # the harmonic mean of the three hazard ratios, weighted by size share
+        shares = (400 / 820, 170 / 820, 250 / 820)
+        inverse = sum(w / hr for w, hr in zip(shares, (0.3, 0.8, math.exp(-0.6))))
+        assert out["harmonic_mean"]["estimate"][0] == pytest.approx(-math.log(inverse), abs=1e-12)
+
+    def test_zero_variance_inverse_weighting_is_input_error(self, capsys, tmp_path):
+        path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8), var=0.0)
+        assert main(["estimate", "--aggregates", path, "--weights=inverse-variance"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "hrmix: input error: inverse-variance weighting needs strictly positive variances\n",
+        )
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["estimate", "--aggregates", "/nonexistent.json"]) == 2
@@ -653,6 +679,14 @@ class TestSimulateAndSweep:
         assert main(argv + ["--out", str(out)]) == 2
         assert "t_max values must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_rejects_repeated_study_end(self, capsys, tmp_path, scenario_file):
+        # inf - inf is NaN, so a difference test would let two infinities pass
+        for grid in ("1,1.0", "inf,none"):
+            argv = ["sweep", "--scenario", scenario_file, f"--tmax-grid={grid}"]
+            assert main(argv + ["--replicates=100", f"--out={tmp_path / 'x.csv'}"]) == 2
+            assert "distinct values" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_rejects_bad_grid(self, tmp_path, scenario_file):
         code = main(

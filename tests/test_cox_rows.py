@@ -431,10 +431,8 @@ def test_plugin_failure_stays_with_its_cell(monkeypatch):
 
     # the public solvers name the cell they cannot certify
     p, q = TINY.mixing_p, TINY.covariate_dist.arm_probability()
-    assert np.isnan(estimators._cpl_binary([1.5, cell[0]], [0.5, cell[1]], p, q)).tolist() == [
-        False,
-        True,
-    ]
+    c, _ = estimators._binary_limit([1.5, cell[0]], [0.5, cell[1]], p, q, np.inf)
+    assert np.isnan(c).tolist() == [False, True]
     for solve, args, upper in (
         (solve_cpl_binary, (), 50.0),
         (solve_censored_binary, (2.0,), 2.0),

@@ -223,7 +223,7 @@ def test_k3_law_where_a_newton_step_overshoots():
     alpha = [1.1081888925401975, -2.773406815767024, 3.0686456057823186]
     beta = [3.8985646152007307, 0.9203729131677676, -3.6133964285644113]
     p = 0.2134175348659212
-    theta, equation = estimators._pl_root(alpha, beta, p, dist)
+    theta, equation = estimators._pl_root(*estimators._trial_lists(alpha, beta, p, dist), dist)
     assert np.array_equal(theta, solve_theta_pl_general(alpha, beta, p, dist))
     assert np.max(np.abs(equation(theta)[1])) <= 1e-12
     # Newton from near the minimiser takes only full steps to the same point
@@ -518,6 +518,70 @@ class TestVarThetaHm:
         aggs = [_agg(K2_ALPHA, np.eye(2) * 0.02, 600), _agg(K2_BETA, np.eye(2) * 0.03, 400)]
         cov = var_theta_hm_general(aggs, K2_DIST)
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-15)
+
+
+# three trials on a 3-point k = 1 law and on K2_DIST
+_THREE_TRIALS = {
+    1: (
+        CovariateDistribution(support=[[0.0], [0.5], [1.0]], probs=[0.3, 0.3, 0.4]),
+        [([-1.2], [[0.02]], 400), ([-0.2], [[0.05]], 170), ([-0.6], [[0.03]], 250)],
+    ),
+    2: (
+        K2_DIST,
+        [
+            (K2_ALPHA, [[0.02, 0.005], [0.005, 0.03]], 600),
+            (K2_BETA, [[0.015, -0.004], [-0.004, 0.025]], 400),
+            (np.log([0.7, 1.0]), [[0.03, 0.0], [0.0, 0.02]], 300),
+        ],
+    ),
+}
+
+
+class TestTrialAxis:
+    """Both plug-in estimates over m >= 2 trials, each weighted by its size share."""
+
+    @pytest.mark.parametrize("estimate", [theta_m_estimate, theta_hm_estimate])
+    @pytest.mark.parametrize("k", [1, 2])
+    @given(trial=st.integers(0, 2), share=st.floats(0.05, 0.95))
+    @settings(max_examples=10, deadline=None)
+    def test_splitting_a_trial_changes_nothing(self, estimate, k, trial, share):
+        # a trial of n subjects split into parts of n1 and n2 with its effect:
+        # part i has covariance C * n / n_i, which is 2C for equal halves
+        dist, trials = _THREE_TRIALS[k]
+        beta, cov, n = trials[trial]
+        n1 = min(max(round(share * n), 1), n - 1)
+        parts = [(beta, np.asarray(cov) * n / m, m) for m in (n1, n - n1)]
+        split = trials[:trial] + parts + trials[trial + 1 :]
+        whole = estimate([_agg(*t) for t in trials], dist)
+        got = estimate([_agg(*t) for t in split], dist)
+        np.testing.assert_allclose(got.estimate, whole.estimate, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.covariance, whole.covariance, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("estimate", [theta_m_estimate, theta_hm_estimate])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_trial_order_changes_nothing(self, estimate, k):
+        dist, trials = _THREE_TRIALS[k]
+        want = estimate([_agg(*t) for t in trials], dist)
+        for order in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
+            got = estimate([_agg(*trials[i]) for i in order], dist)
+            np.testing.assert_allclose(got.estimate, want.estimate, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.covariance, want.covariance, rtol=0, atol=1e-12)
+
+    @given(
+        effects=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        sizes=st.lists(st.integers(1, 1000), min_size=3, max_size=3),
+        q=st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_harmonic_mean_of_three_binary_trials(self, effects, sizes, q):
+        # on the {0, 1} law the effect is log(1 / sum_j w_j / HR_j), whatever q;
+        # the score, solved to 1e-12, has slope q there
+        total = sum(sizes)
+        want = -math.log(sum(n / total * math.exp(-b) for n, b in zip(sizes, effects)))
+        aggs = [_agg(b, 0.02, n) for b, n in zip(effects, sizes)]
+        got = theta_hm_estimate(aggs, CovariateDistribution.bernoulli(q))
+        assert got.estimate[0] == pytest.approx(want, abs=2e-12 / q)
+        assert got.mixing_p == sizes[0] / total
 
 
 class TestWald:
