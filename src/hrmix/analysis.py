@@ -25,12 +25,7 @@ from .data import (
     replicate_stream,
 )
 from .errors import HrmixError
-from .estimators import (
-    _binary_limit,
-    c_hm_binary,
-    solve_cpl_binary,
-    solve_theta_pl_general,
-)
+from .estimators import _pl_root, _pooled_limit_binary, _size_shares, c_hm_binary, solve_cpl_binary
 
 __all__ = [
     "OrderingReport",
@@ -142,7 +137,7 @@ class SweepResult:
 
     def __post_init__(self):
         t = np.asarray(self.t_max, dtype=float)
-        if np.any(np.diff(t) <= 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("t_max grid must be strictly ascending")
         for lo, mean, hi in (
             (self.theta_pl_lo, self.theta_pl_mean, self.theta_pl_hi),
@@ -209,26 +204,26 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
     (math.inf means no censoring; the scenario's own censoring field is
     ignored here).  Per grid point the pooled fit and the per-trial-fit
     plug-in are recomputed; component 0 of each estimate (the arm
-    indicator) is summarized.
+    indicator) is summarized.  Two or more trials are pooled, and the
+    plug-in weights each trial by its share of the subjects.
 
     Replicates are fitted in chunks, one Newton solve per chunk and
-    dataset (pooled, trial 1, trial 2) whose rows are replicate x study
-    end.  The simulator's covariate law is tabulated, so each risk-set sum
-    is read off count tables: the at-risk count of every support point
-    times e^{beta'z} z^r, an O(m) sum over the m support points.
-    Censoring at t_max only caps the largest times, so the tables come
-    from the one latent descending-time order of the chunk and every study
-    end reads a suffix of its event blocks.  A law with more than
+    dataset (the pooled data, then each trial) whose rows are replicate x
+    study end.  The simulator's covariate law is tabulated, so each
+    risk-set sum is read off count tables: the at-risk count of every
+    support point times e^{beta'z} z^r, an O(m) sum over the m support
+    points.  Censoring at t_max only caps the largest times, so the tables
+    come from the one latent descending-time order of the chunk and every
+    study end reads a suffix of its event blocks.  A law with more than
     ``_TABLE_LEVELS_PER_COVARIATE`` points per covariate is fitted by
     running sums over the subjects instead (:func:`fit_cox_rows`, every
     study end in one call).  The binary plug-in is one batched solve of
-    the binary limit over every cell whose fits succeeded; a cell it cannot
+    the binary limit over every cell whose fits succeeded, and a general
+    law takes one Newton solve per cell; a cell that its solve cannot
     certify counts as failed.  A NaN study end is rejected.
     Replicate streams depend only on (seed, replicate) and no row's fit
     depends on its chunk, so results do not depend on the chunk size.
     """
-    if len(scenario.trial_effects) != 2:
-        raise ValueError("the sweep is defined for two-trial scenarios")
     if replicates < 100:
         raise ValueError("need at least 100 replicates for stable percentiles")
     grid = np.asarray(sorted(float(t) for t in t_max_grid), dtype=float)
@@ -236,10 +231,8 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
         raise ValueError("t_max grid must be nonempty with distinct values")
     if not np.all(grid > 0):
         raise ValueError("t_max values must be positive (and not NaN)")
-    theta_pl, frac, alpha, beta = _sweep_fits(scenario, grid, replicates)
-    p = scenario.mixing_p
-    binary_q = scenario.covariate_dist.arm_probability()
-    theta_m = _sweep_plugin(alpha, beta, p, binary_q, scenario.covariate_dist)
+    theta_pl, frac, effects = _sweep_fits(scenario, grid, replicates)
+    theta_m = _sweep_plugin(effects, _size_shares(scenario.sizes), scenario.covariate_dist)
 
     failed = ~np.isfinite(theta_pl) | ~np.isfinite(theta_m)
     # failed cells drop out; a study end where all failed is zero-filled so
@@ -276,15 +269,14 @@ def _sweep_fits(scenario, grid, replicates):
 
     Returns component 0 of the pooled fit and the censored fraction, as
     (replicates, study ends) arrays, and the per-trial log hazard ratios
-    of the cells whose three fits succeeded, as (replicates, study ends,
-    k); failed cells hold NaN.  The count tables are freed on return,
-    before the plug-in solve.
+    of the cells whose pooled and trial fits all succeeded, as (trials,
+    replicates, study ends, k); failed cells hold NaN.  The count tables
+    are freed on return, before the plug-in solve.
     """
     shape = (replicates, grid.size)
     theta_pl = np.full(shape, np.nan)
     frac = np.empty(shape)
-    alpha = np.full(shape + (scenario.covariate_dist.k,), np.nan)
-    beta = np.full_like(alpha, np.nan)
+    effects = np.full((len(scenario.sizes),) + shape + (scenario.covariate_dist.k,), np.nan)
 
     def by_cell(values):
         # fitted row g * R + r is replicate r of the chunk at study end g
@@ -299,13 +291,13 @@ def _sweep_fits(scenario, grid, replicates):
     for start in range(0, replicates, _SWEEP_CHUNK):
         chunk = slice(start, min(start + _SWEEP_CHUNK, replicates))
         latent = _sorted_latent(scenario, range(chunk.start, chunk.stop))
-        pooled, first, second = (fit(times, levels) for times, levels in latent)
+        pooled, *trials = (fit(times, levels) for times, levels in latent)
         frac[chunk] = 1.0 - by_cell(pooled.n_events) / latent[0][0].shape[1]
         theta_pl[chunk] = by_cell(np.where(pooled.ok, pooled.beta_hat[:, 0], np.nan))
-        fitted = (pooled.ok & first.ok & second.ok)[:, None]
-        alpha[chunk] = by_cell(np.where(fitted, first.beta_hat, np.nan))
-        beta[chunk] = by_cell(np.where(fitted, second.beta_hat, np.nan))
-    return theta_pl, frac, alpha, beta
+        fitted = np.logical_and.reduce([pooled.ok] + [t.ok for t in trials])[:, None]
+        for j, trial in enumerate(trials):
+            effects[j, chunk] = by_cell(np.where(fitted, trial.beta_hat, np.nan))
+    return theta_pl, frac, effects
 
 
 def _capped_rows(times, levels, support, grid):
@@ -324,26 +316,26 @@ def _capped_rows(times, levels, support, grid):
     )
 
 
-def _sweep_plugin(alpha, beta, p, binary_q, dist):
+def _sweep_plugin(effects, weights, dist):
     """Component 0 of the plug-in at every cell with finite trial fits.
 
-    ``alpha`` and ``beta`` are (..., k) per-trial log hazard ratios.  The
+    ``effects`` holds the per-trial log hazard ratios, shaped (trials,
+    ..., k), and ``weights`` each trial's share of the subjects.  The
     binary limit is one batched solve, in which a cell the rule cannot
     certify comes back NaN without touching the others.  General
     covariates take one Newton solve per cell.  Failed cells hold NaN.
     """
-    theta_m = np.full(alpha.shape[:-1], np.nan)
-    cells = np.flatnonzero(np.isfinite(alpha[..., 0]))
-    alpha = alpha.reshape(-1, alpha.shape[-1])[cells]
-    beta = beta.reshape(-1, beta.shape[-1])[cells]
+    theta_m = np.full(effects.shape[1:-1], np.nan)
+    cells = np.flatnonzero(np.isfinite(effects[0, ..., 0]))
+    effects = effects.reshape(len(effects), -1, effects.shape[-1])[:, cells]
     out = theta_m.reshape(-1)
-    if binary_q is not None:
-        c, _ = _binary_limit(np.exp(alpha[:, 0]), np.exp(beta[:, 0]), p, binary_q, np.inf)
-        out[cells] = np.log(c)
+    q = dist.arm_probability()
+    if q is not None:
+        out[cells] = np.log(_pooled_limit_binary(np.exp(effects[..., 0]), weights, q, np.inf))
         return theta_m
     for i, cell in enumerate(cells):
         try:
-            out[cell] = solve_theta_pl_general(alpha[i], beta[i], p, dist)[0]
+            out[cell] = _pl_root(list(effects[:, i]), weights, dist)[0][0]
         except HrmixError:
             continue
     return theta_m

@@ -146,7 +146,7 @@ def _cmd_estimate(args) -> int:
                 estimators.CombineMethod.POOLED_MPLE,
                 pooled_fit.beta_hat,
                 pooled_fit.covariance,
-                estimators._size_shares(aggregates)[0],
+                estimators._size_shares(list(sizes.values()))[0],
             )
         )
         out["per_trial"] = [
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="censoring-bias sweep over study-end times")
-    p.add_argument("--scenario", required=True, help="scenario JSON config (two trials)")
+    p.add_argument("--scenario", required=True, help="scenario JSON config")
     p.add_argument(
         "--tmax-grid",
         dest="tmax_grid",

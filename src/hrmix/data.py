@@ -266,11 +266,11 @@ class ScenarioSpec:
     """Full generative description of a multi-trial simulation.
 
     ``trial_effects`` holds one finite log hazard-ratio vector per trial,
-    ``sizes`` the per-trial subject counts (so the mixing proportion is
-    sizes[0] / sum(sizes) in the two-trial case), and ``baseline`` the
-    inverse cumulative hazard used for inverse-transform sampling.  The
-    sizes and the seed must be integers; an integral float such as 400.0
-    is accepted, and a bool or a fractional value raises ``ValueError``.
+    ``sizes`` the per-trial subject counts (``mixing_p`` is the first
+    trial's share of them), and ``baseline`` the inverse cumulative hazard
+    used for inverse-transform sampling.  The sizes and the seed must be
+    integers; an integral float such as 400.0 is accepted, and a bool or a
+    fractional value raises ``ValueError``.
     """
 
     trial_effects: tuple

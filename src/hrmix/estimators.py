@@ -124,7 +124,7 @@ class CustomWeights:
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
-        if any(v <= 0 for v in w):
+        if any(not v > 0 for v in w):
             raise ValueError("weights must be positive")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {sum(w)!r}, not 1")
@@ -209,10 +209,10 @@ def _weight_matrix(aggregates, scheme: WeightScheme) -> np.ndarray:
     return w / w.sum(axis=0, keepdims=True)
 
 
-def _size_shares(aggregates) -> list:
+def _size_shares(sizes) -> list:
     """Each trial's share of the subjects; the last is one minus the others."""
-    total = sum(a.size for a in aggregates)
-    shares = [a.size / total for a in aggregates[:-1]]
+    total = sum(sizes)
+    shares = [n / total for n in sizes[:-1]]
     return shares + [1 - sum(shares)]
 
 
@@ -227,7 +227,8 @@ def linear_log_hr(aggregates, scheme: WeightScheme = InverseVariance()) -> Combi
     w = _weight_matrix(aggregates, scheme)
     est = sum(w[i] * a.beta_hat for i, a in enumerate(aggregates))
     cov = sum(np.outer(w[i], w[i]) * a.covariance for i, a in enumerate(aggregates))
-    return CombinedEffect(CombineMethod.LINEAR_LOG, est, cov, _size_shares(aggregates)[0])
+    p = _size_shares([a.size for a in aggregates])[0]
+    return CombinedEffect(CombineMethod.LINEAR_LOG, est, cov, p)
 
 
 def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> CombinedEffect:
@@ -239,12 +240,15 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
     """
     k = _check_aggregates(aggregates)
     z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (k,))
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
     w = _weight_matrix(aggregates, scheme)
     hr = np.array([np.exp(a.beta_hat * z) for a in aggregates])  # (m, k)
     est = (w * hr).sum(axis=0)
     grad = w * hr * z  # d est_j / d beta_ij
     cov = sum(np.outer(grad[i], grad[i]) * a.covariance for i, a in enumerate(aggregates))
-    return CombinedEffect(CombineMethod.LINEAR_HR, est, cov, _size_shares(aggregates)[0])
+    p = _size_shares([a.size for a in aggregates])[0]
+    return CombinedEffect(CombineMethod.LINEAR_HR, est, cov, p)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +271,18 @@ def _validate_binary_args(a, b, p, q=None):
 
 
 # Fixed composite GK15 rule for the pooled limits.  The first panel is
-# [0, _RULE_FIRST / r] with r the fastest rate (max(a, b, 1) for the binary
-# law), on which the fastest exponential falls by at most e^-1; the others
-# grow geometrically, each at most exp(_RULE_LOG_RATIO) times the one
-# before, up to the upper limit, so every exponential and every crossing
-# between two of them is resolved at any spread of hazard ratios.  The
-# integrals stop at _TAIL_CUT, past which the integrands are below
-# e^-_TAIL_CUT times a polynomial factor.  An integral is certified when
-# its summed Kronrod-Gauss error is at most max(_QUAD_ABS_TOL,
-# _QUAD_REL_TOL * |value|), and a binary root when that error over the
-# residual's slope in log c is at most _ROOT_RTOL.  Binary cells are
-# solved in blocks of _RULE_BLOCK to bound the (cells, panels, 15)
-# temporaries.
+# [0, _RULE_FIRST / r] with r the fastest rate (for the binary law, the
+# largest of 1 and the trials' hazard ratios), on which the fastest
+# exponential falls by at most e^-1; the others grow geometrically, each at
+# most exp(_RULE_LOG_RATIO) times the one before, up to the upper limit, so
+# every exponential and every crossing between two of them is resolved at
+# any spread of hazard ratios.  The integrals stop at _TAIL_CUT, past which
+# the integrands are below e^-_TAIL_CUT times a polynomial factor.  An
+# integral is certified when its summed Kronrod-Gauss error is at most
+# max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |value|), and a binary root when that
+# error over the residual's slope in log c is at most _ROOT_RTOL.  Binary
+# cells are solved in blocks of _RULE_BLOCK to bound the (cells, panels,
+# 15) temporaries.
 _RULE_FIRST = 1.0
 _RULE_LOG_RATIO = 0.3
 _RULE_BLOCK = 32
@@ -322,45 +326,53 @@ def _rule_certified(y, weight, half):
     return total, err <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(total))
 
 
-def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, refined=False):
+def _cpl_binary_rule(rates, weights, q, upper, target, first, n_geo, refined=False):
     """Newton in c on the fixed rule for a block of cells of one panel count.
 
-    Every argument but ``n_geo`` and ``refined`` is a 1-d array over cells
-    with a != b; ``first`` is the end of each cell's first panel, and
-    ``n_geo`` geometric panels follow it.  On any positive-weight rule the
-    residual is convex and decreasing in c, so Newton from c = min(a, b),
-    clipped to the bracket, climbs monotonically to the root.  Returns the
-    roots and a mask of the cells that are certified: Newton converged,
-    |residual| <= _ROOT_TOL, and the Kronrod-Gauss error estimate over the
-    residual's slope in log c, the relative error it puts on the root, is
-    at most _ROOT_RTOL.  Each cell's arithmetic depends only on its own
-    inputs, so a cell's root does not depend on the block it is solved in.
+    ``rates`` and ``weights``, shaped (trials, cells), hold each trial's
+    treated hazard ratio r_j and share w_j of the subjects, in trial order,
+    for cells whose rates are not all equal; every other argument but
+    ``n_geo`` and ``refined`` is a 1-d array over those cells.  ``first``
+    is the end of each cell's first panel, and ``n_geo`` geometric panels
+    follow it.  On any positive-weight rule the residual is convex and
+    decreasing in c, so Newton from c = min_j r_j, clipped to the bracket,
+    climbs monotonically to the root.  Returns the roots and a mask of the
+    cells that are certified: Newton converged, |residual| <= _ROOT_TOL,
+    and the Kronrod-Gauss error estimate over the residual's slope in log
+    c, the relative error it puts on the root, is at most _ROOT_RTOL.
+    Each cell's arithmetic depends only on its own inputs, so a cell's
+    root does not depend on the block it is solved in.
 
-    The integrand is e^-u + ((a-c) e_a + (b-c) e_b) e^-u / den, with e_a
-    and e_b the treated terms of den.  Where the second part is small,
-    its dependence on c drowns in the rounding of the first, so a
+    The integrand is e^-u + sum_j (r_j - c) e_j e^-u / den, with
+    e_j = w_j q e^{-r_j u} the treated terms of den.  Where the second part
+    is small, its dependence on c drowns in the rounding of the first, so a
     ``refined`` solve integrates e^-u in closed form and sums only the
     second part.
     """
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum.reduce(rates), np.maximum.reduce(rates)
     u, weight, half = _rule_nodes(first, upper, n_geo)
-    a3, b3, p3, q3 = (v[:, None, None] for v in (a, b, p, q))
+    r3 = [r[:, None, None] for r in rates]
+    q3 = q[:, None, None]
     e1 = np.exp(-u)
-    ea = p3 * q3 * np.exp(-a3 * u)
-    eb = (1 - p3) * q3 * np.exp(-b3 * u)
+    terms = [w[:, None, None] * q3 * np.exp(-r * u) for w, r in zip(weights, r3)]
     base = (1 - q3) * e1
-    slow = ea + eb
-    mass = (base + a3 * ea + b3 * eb) * e1
+    # summed in trial order, in place: each (cells, panels, 15) temporary costs time
+    slow = sum(terms[1:], terms[0])
+    mass = base + r3[0] * terms[0]
+    for r, t in zip(r3[1:], terms[1:]):
+        mass += r * t
+    mass *= e1
     rhs = target + np.expm1(-upper) if refined else target
 
     def integrand(c, den):
         if not refined:
             return mass / den
         c3 = c[:, None, None]
-        return ((a3 - c3) * ea + (b3 - c3) * eb) * e1 / den
+        moving = [(r - c3) * t for r, t in zip(r3, terms)]
+        return sum(moving[1:], moving[0]) * e1 / den
 
     c = lo.copy()
-    active = np.ones(a.size, dtype=bool)
+    active = np.ones(c.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_RULE_MAX_ITER):
             den = base + c[:, None, None] * slow
@@ -382,60 +394,47 @@ def _cpl_binary_rule(a, b, p, q, upper, target, first, n_geo, refined=False):
     return c, certified
 
 
-def _pooled_limit_binary(a, b, p, q, upper, target):
-    """Binary pooled limit, broadcast over every argument.
+def _pooled_limit_binary(rates, weights, q, H):
+    """Binary pooled limit of m trials at study-end cumulative hazard ``H``.
 
-    Solves integral_0^upper (pooled integrand) du = target for c on the
-    fixed rule.  Each cell it cannot certify is solved once more, refined:
+    ``rates`` and ``weights`` hold each trial's treated hazard ratio and
+    share of the subjects, in trial order; their entries, ``q`` and ``H``
+    broadcast against each other.  Solves integral_0^upper (pooled
+    integrand) du = 1 - e^-upper for c on the fixed rule, with upper =
+    min(H, 50).  Each cell it cannot certify is solved once more, refined:
     on twice the geometric panels, summing only the part of the integrand
     that moves with c.  A cell that still fails comes back NaN, so one
-    cell's failure leaves every other cell's root in place.  Returns a
-    float when every argument is scalar.
+    cell's failure leaves every other cell's root in place; a cell whose
+    rates are all equal returns that rate exactly.  Returns a float when
+    every argument is scalar.
     """
-    a, b, p, q, upper, target = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, p, q, upper, target))
+    if not np.all(np.asarray(H) > 0):
+        raise ValueError("H must be positive")
+    upper = np.minimum(H, _TAIL_CUT)
+    *trials, q, upper, target = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (*rates, *weights, q, upper, -np.expm1(-upper)))
     )
-    out = np.array(a)
-    cells = np.flatnonzero(a != b)
-    cols = [v.ravel()[cells] for v in (a, b, p, q, upper, target)]
-    first, n_geo = _rule_panels(np.maximum(np.maximum(cols[0], cols[1]), 1.0), cols[4])
+    out = np.array(trials[0])
+    rates, weights = np.reshape(trials, (2, len(rates), -1))
+    cells = np.flatnonzero(np.minimum.reduce(rates) != np.maximum.reduce(rates))
+    rates, weights = rates[:, cells], weights[:, cells]
+    q, upper, target = (v.ravel()[cells] for v in (q, upper, target))
+    first, n_geo = _rule_panels(np.maximum(np.maximum.reduce(rates), 1.0), upper)
+    cols = (rates, weights, q, upper, target, first)
     roots = np.empty(cells.size)
     for n in sorted(set(n_geo.tolist())):
         group = np.flatnonzero(n_geo == n)
         for start in range(0, group.size, _RULE_BLOCK):
             block = group[start : start + _RULE_BLOCK]
-            roots[block], certified = _cpl_binary_rule(*(v[block] for v in cols), first[block], n)
+            roots[block], certified = _cpl_binary_rule(*(v[..., block] for v in cols), n)
             redo = block[~certified]
             if redo.size:
                 roots[redo], certified = _cpl_binary_rule(
-                    *(v[redo] for v in cols), first[redo], 2 * n, refined=True
+                    *(v[..., redo] for v in cols), 2 * n, refined=True
                 )
                 roots[redo[~certified]] = np.nan
     out.reshape(-1)[cells] = roots
     return float(out) if out.ndim == 0 else out
-
-
-def _certified(c, a, b, p, q, upper):
-    """The limits ``c``, or NonConvergenceError naming the first NaN cell."""
-    failed = np.flatnonzero(np.isnan(c))
-    if failed.size:
-        cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, p, q, upper)))
-        cell = [float(v.reshape(-1)[failed[0]]) for v in cells]
-        raise NonConvergenceError(
-            "the fixed rule cannot certify the pooled limit at "
-            f"(a, b, p, q) = {tuple(cell[:4])} on [0, {cell[4]}]"
-        )
-    return c
-
-
-def _binary_limit(a, b, p, q, H):
-    """The binary pooled limit at study-end cumulative hazard ``H``, each
-    uncertified cell NaN, and the upper limit min(H, 50) it was solved on."""
-    _validate_binary_args(a, b, p, q)
-    if not np.all(np.asarray(H) > 0):
-        raise ValueError("H must be positive")
-    upper = np.minimum(H, _TAIL_CUT)
-    return _pooled_limit_binary(a, b, p, q, upper, -np.expm1(-upper)), upper
 
 
 def solve_cpl_binary(a, b, p, q):
@@ -484,8 +483,16 @@ def solve_censored_binary(a, b, p, q, H):
     rule over [0, min(H, 50)], certified by the same test, with one
     refinement before NonConvergenceError.
     """
-    c, upper = _binary_limit(a, b, p, q, H)
-    return _certified(c, a, b, p, q, upper)
+    _validate_binary_args(a, b, p, q)
+    c = _pooled_limit_binary([a, b], [p, np.subtract(1.0, p)], q, H)
+    failed = np.flatnonzero(np.isnan(c))
+    if failed.size:
+        a, b, p, q, H = (float(v.flat[failed[0]]) for v in np.broadcast_arrays(a, b, p, q, H))
+        raise NonConvergenceError(
+            "the fixed rule cannot certify the pooled limit at "
+            f"(a, b, p, q) = {(a, b, p, q)} on [0, {min(H, _TAIL_CUT)}]"
+        )
+    return c
 
 
 def _trial_lists(alpha, beta, p, dist):
@@ -514,8 +521,8 @@ def _pl_equation(effects, weights, dist):
     The partial likelihood ignores a shift of Z, so Z is measured from
     the last support point; the integrand then decays like the slowest
     rate of the other points, and the last panel ends where that rate
-    has decayed by e^-_TAIL_CUT.  For the {0, 1} law and two trials the
-    residual is -(1-q) times the binary one on the same panels.
+    has decayed by e^-_TAIL_CUT.  For the {0, 1} law the residual is
+    -(1-q) times the binary one on the same panels.
 
     R is the gradient of the expected log partial likelihood Phi(theta) =
     integral_0^inf log(S0) M du - theta'E(Z) (Struthers & Kalbfleisch 1986).
@@ -631,7 +638,7 @@ def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     with the implicit-function sensitivities of :func:`theta_pl_sensitivity`.
     """
     _check_aggregates(aggregates, dist)
-    weights = _size_shares(aggregates)
+    weights = _size_shares([a.size for a in aggregates])
     theta, equation = _pl_root([a.beta_hat for a in aggregates], weights, dist)
     _, _, jac, _, d_inputs = equation(theta, inputs=True)
     cov = _sandwich(jac, d_inputs, [a.covariance for a in aggregates])
@@ -702,12 +709,9 @@ def var_theta_hm_binary(
     formula degenerates to p^2 var_a + (1-p)^2 var_b, matching the linear
     combiner.
     """
-    if not (a_hat > 0 and b_hat > 0):
-        raise ValueError("hazard-ratio estimates must be positive")
-    if var_a < 0 or var_b < 0:
+    _validate_binary_args(a_hat, b_hat, p)
+    if not (var_a >= 0 and var_b >= 0):
         raise ValueError("variances must be nonnegative")
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
     # in units of min(a_hat, b_hat), which the ratio does not see: no overflow
     lo = min(a_hat, b_hat)
     ia, ib = lo / a_hat, lo / b_hat
@@ -728,7 +732,8 @@ def var_theta_hm_general(aggregates, dist: CovariateDistribution) -> np.ndarray:
 def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     """Harmonic-mean effect of m >= 2 trials by size share, with delta-method covariance."""
     _check_aggregates(aggregates, dist)
-    effects, weights = [a.beta_hat for a in aggregates], _size_shares(aggregates)
+    effects = [a.beta_hat for a in aggregates]
+    weights = _size_shares([a.size for a in aggregates])
     theta = _hm_root(effects, weights, dist)
     _, _, jac, d_inputs = _hm_equation(theta, effects, weights, dist)
     cov = _sandwich(jac, d_inputs, [a.covariance for a in aggregates])

@@ -27,10 +27,12 @@ from hrmix import (
 )
 from hrmix import analysis
 from hrmix.analysis import (
+    SweepResult,
     write_breslow_csv,
     write_grid_csv,
     write_sweep_csv,
 )
+from hrmix.estimators import _pl_root
 
 from conftest import EXAMPLE3_P
 
@@ -144,7 +146,7 @@ class TestBiasSweep:
             covariate_dist=law,
             seed=11,
         )
-        real, values = analysis.solve_theta_pl_general, []
+        real, values = analysis._pl_root, []
 
         def sweep(fail):
             calls = itertools.count()
@@ -153,10 +155,10 @@ class TestBiasSweep:
                 if next(calls) in fail:
                     raise NonConvergenceError("injected failure")
                 out = real(*args, **kwargs)
-                values.append(out[0])
+                values.append(out[0][0])
                 return out
 
-            monkeypatch.setattr(analysis, "solve_theta_pl_general", solve)
+            monkeypatch.setattr(analysis, "_pl_root", solve)
             return bias_sweep(spec, [2.0, math.inf], replicates=100)
 
         before = sweep(set())
@@ -181,6 +183,44 @@ class TestBiasSweep:
             bias_sweep(example3_scenario, [], replicates=100)
         with pytest.raises(ValueError):
             bias_sweep(example3_scenario, [-1.0, 2.0], replicates=100)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            CovariateDistribution.bernoulli(0.5),
+            CovariateDistribution(support=[[0.0], [0.5], [1.0]], probs=[0.3, 0.3, 0.4]),
+        ],
+        ids=["binary", "3-point"],
+    )
+    def test_three_trials(self, law):
+        # each plug-in cell is the general pooled limit of its three trial
+        # fits, weighted by size share
+        sizes = (400, 170, 200)
+        spec = ScenarioSpec(
+            trial_effects=([math.log(0.3)], [math.log(0.8)], [0.1]),
+            sizes=sizes,
+            covariate_dist=law,
+            seed=20260808,
+        )
+        grid = np.array([1.0, 4.0, math.inf])
+        result = bias_sweep(spec, grid, replicates=100)
+        assert np.all(result.n_failed == 0)
+        _, _, effects = analysis._sweep_fits(spec, grid, 100)
+        weights = [n / sum(sizes) for n in sizes]
+        theta_m = analysis._sweep_plugin(effects, weights, law)
+        np.testing.assert_allclose(result.theta_m_mean, theta_m.mean(axis=0), rtol=1e-12)
+        for r, g in np.ndindex(theta_m.shape):
+            theta, _ = _pl_root(list(effects[:, r, g]), weights, law)
+            assert abs(theta_m[r, g] - theta[0]) <= 1e-9, (r, g)
+
+    @pytest.mark.parametrize("t_max", [[math.inf, math.inf], [1.0, math.nan]])
+    def test_result_rejects_repeated_or_nan_study_end(self, t_max):
+        # inf - inf and 1 - nan are NaN, which no test of a difference catches
+        nan = np.full(2, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly ascending"):
+                SweepResult(t_max, *[nan] * 7, np.zeros(2, dtype=int), 100, 0)
 
 
 @pytest.fixture(scope="module")

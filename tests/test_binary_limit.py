@@ -33,35 +33,37 @@ from hrmix import (
 TAIL_CUT = 50.0
 
 
-def oracle_limit(a, b, p, q, upper=TAIL_CUT, target=1.0):
+def oracle_limit(rates, weights, q, upper=TAIL_CUT, target=1.0):
     """Root in c of integral_0^upper (pooled-limit integrand) du = target.
 
-    The integrand is e^-u + [pq(a-c) e^-au + (1-p)q(b-c) e^-bu] e^-u / den,
+    Trial j has treated hazard ratio r_j and share w_j of the subjects.
+    The integrand is e^-u + sum_j w_j q (r_j - c) e^{-r_j u} e^-u / den,
     and e^-u integrates to 1 - e^-upper in closed form, so the residual is
-    (a-c) I_a(c) + (b-c) I_b(c) + 1 - e^-upper - target with positive
-    integrals I_a and I_b.  QUADPACK meets its relative tolerance on the
-    terms that carry all of the dependence on c, so the root keeps its
-    accuracy where the moment integral itself is nearly flat in c (q near
-    0, both hazard ratios small, or a short study).
+    sum_j (r_j - c) I_j(c) + 1 - e^-upper - target with positive
+    integrals I_j.  QUADPACK meets its relative tolerance on the terms
+    that carry all of the dependence on c, so the root keeps its accuracy
+    where the moment integral itself is nearly flat in c (q near 0, every
+    hazard ratio small, or a short study).  Two trials are
+    ``(a, b), (p, 1 - p)``.
     """
 
     def integrand(u, c, rate, share):
         e1 = math.exp(-u)
-        den = (1 - q) * e1 + c * q * (p * math.exp(-a * u) + (1 - p) * math.exp(-b * u))
-        return share * q * math.exp(-rate * u) * e1 / den
+        treated = sum(w * math.exp(-r * u) for r, w in zip(rates, weights))
+        return share * q * math.exp(-rate * u) * e1 / ((1 - q) * e1 + c * q * treated)
 
     # split where each exponential turns over and where its treated term
     # can cross the unit one in den; of two cuts within a relative 1e-9, as
     # at 1/a and 1/b for a rate within rounding of 1, only the later one is
     # kept, since QUADPACK cannot resolve the sliver between them
-    cuts = sorted(k / r for r in (a, b, 1.0) for k in (0.1, 1.0, 10.0, 100.0) if k / r < upper)
+    cuts = sorted(k / r for r in (*rates, 1.0) for k in (0.1, 1.0, 10.0, 100.0) if k / r < upper)
     kept = [cut for cut, after in zip(cuts, [*cuts[1:], upper]) if after > cut * (1 + 1e-9)]
     edges = [0.0, *kept, upper]
 
-    # I_a and I_b exceed 1e-15 on the tested domain; epsabs only spares
-    # QUADPACK the panels where e^-au has underflowed to subnormals.  Where
-    # QUADPACK still warns, its result may miss the root's tolerance, so
-    # the warning is an error.
+    # each I_j exceeds 1e-15 on the tested domain; epsabs only spares
+    # QUADPACK the panels where e^{-r_j u} has underflowed to subnormals.
+    # Where QUADPACK still warns, its result may miss the root's
+    # tolerance, so the warning is an error.
     def integral(c, rate, share):
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
@@ -73,9 +75,9 @@ def oracle_limit(a, b, p, q, upper=TAIL_CUT, target=1.0):
     offset = -math.expm1(-upper) - target
 
     def resid(c):
-        return (a - c) * integral(c, a, p) + (b - c) * integral(c, b, 1 - p) + offset
+        return sum((r - c) * integral(c, r, w) for r, w in zip(rates, weights)) + offset
 
-    return brentq(resid, min(a, b), max(a, b), xtol=1e-300, rtol=8.9e-16)
+    return brentq(resid, min(rates), max(rates), xtol=1e-300, rtol=8.9e-16)
 
 
 def oracle_log_slope(a, b, p, q, c):
@@ -110,7 +112,7 @@ def no_fallback(monkeypatch):
 
     def base_rule_only(*args, refined=False):
         if refined:
-            raise AssertionError(f"refinement taken for {[v.tolist() for v in args[:4]]}")
+            raise AssertionError(f"refinement taken for rates {[r.tolist() for r in args[0]]}")
         return rule(*args)
 
     monkeypatch.setattr(estimators, "_cpl_binary_rule", base_rule_only)
@@ -125,14 +127,15 @@ class TestAgainstOracle:
         # the oracle's bracket needs a resolvable spread
         assume(abs(la - lb) > 1e-6)
         a, b = math.exp(la), math.exp(lb)
-        assert solve_cpl_binary(a, b, p, q) == pytest.approx(oracle_limit(a, b, p, q), rel=1e-10)
+        want = oracle_limit((a, b), (p, 1 - p), q)
+        assert solve_cpl_binary(a, b, p, q) == pytest.approx(want, rel=1e-10)
 
     @given(la=log_hr, lb=log_hr, p=share, q=share, H=st.floats(1e-3, 20.0))
     @settings(max_examples=30, deadline=None)
     def test_censored(self, la, lb, p, q, H):
         assume(abs(la - lb) > 1e-6)
         a, b = math.exp(la), math.exp(lb)
-        want = oracle_limit(a, b, p, q, upper=H, target=-math.expm1(-H))
+        want = oracle_limit((a, b), (p, 1 - p), q, upper=H, target=-math.expm1(-H))
         assert solve_censored_binary(a, b, p, q, H) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -147,7 +150,7 @@ class TestAgainstOracle:
     )
     def test_wide_spread_regressions(self, no_fallback, a, b, root):
         assert solve_cpl_binary(a, b, 0.5, 0.5) == pytest.approx(root, rel=1e-10)
-        assert oracle_limit(a, b, 0.5, 0.5) == pytest.approx(root, rel=1e-10)
+        assert oracle_limit((a, b), (0.5, 0.5), 0.5) == pytest.approx(root, rel=1e-10)
 
     @given(
         la=st.floats(-10.0, 10.0),
@@ -169,7 +172,7 @@ class TestAgainstOracle:
             return
         upper = TAIL_CUT if H is None else min(H, TAIL_CUT)
         target = 1.0 if H is None else -math.expm1(-upper)
-        assert got == pytest.approx(oracle_limit(a, b, p, q, upper, target), rel=1e-10)
+        assert got == pytest.approx(oracle_limit((a, b), (p, 1 - p), q, upper, target), rel=1e-10)
 
     @pytest.mark.parametrize(
         "a, b, p, q, H, root",
@@ -187,7 +190,52 @@ class TestAgainstOracle:
     )
     def test_refined_regressions(self, a, b, p, q, H, root):
         assert solve_censored_binary(a, b, p, q, H) == pytest.approx(root, rel=1e-10)
-        assert oracle_limit(a, b, p, q, H, -math.expm1(-H)) == pytest.approx(root, rel=1e-10)
+        want = oracle_limit((a, b), (p, 1 - p), q, H, -math.expm1(-H))
+        assert want == pytest.approx(root, rel=1e-10)
+
+
+class TestTrialAxis:
+    """The binary kernel over m trials, each weighted by its size share."""
+
+    @given(
+        logs=st.lists(log_hr, min_size=3, max_size=3),
+        sizes=st.lists(st.integers(1, 1000), min_size=3, max_size=3),
+        q=share,
+        H=st.one_of(st.just(math.inf), st.floats(1e-3, 20.0)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_three_trials_against_oracle(self, logs, sizes, q, H):
+        assume(max(logs) - min(logs) > 1e-6)
+        rates = [math.exp(v) for v in logs]
+        weights = [n / sum(sizes) for n in sizes]
+        got = estimators._pooled_limit_binary(rates, weights, q, H)
+        upper = min(H, TAIL_CUT)
+        want = oracle_limit(rates, weights, q, upper, -math.expm1(-upper))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @given(
+        logs=st.lists(log_hr, min_size=2, max_size=3),
+        sizes=st.lists(st.integers(2, 1000), min_size=3, max_size=3),
+        q=share,
+        H=st.one_of(st.just(math.inf), st.floats(1e-3, 20.0)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_splitting_a_trial_changes_nothing(self, logs, sizes, q, H, data):
+        # two trials with one rate are one trial of their summed subjects
+        trials = list(zip((math.exp(v) for v in logs), sizes))
+        j = data.draw(st.integers(0, len(trials) - 1))
+        rate, n = trials.pop(j)
+        part = data.draw(st.integers(1, n - 1))
+        split = [*trials, (rate, part), (rate, n - part)]
+        split = [split[i] for i in data.draw(st.permutations(range(len(split))))]
+
+        def log_limit(trials):
+            rates, counts = zip(*trials)
+            weights = estimators._size_shares(counts)
+            return math.log(estimators._pooled_limit_binary(rates, weights, q, H))
+
+        assert abs(log_limit(split) - log_limit([*trials, (rate, n)])) <= 1e-12
 
 
 def general_agrees_with_binary(la, lb, p, q):
@@ -329,7 +377,7 @@ class TestFallback:
 
         def spy(*args, refined=False):
             c, certified = rule(*args, refined=refined)
-            seen.append((refined, args[0].tolist(), certified.tolist()))
+            seen.append((refined, args[0][0].tolist(), certified.tolist()))
             return c, certified
 
         monkeypatch.setattr(estimators, "_cpl_binary_rule", spy)
@@ -337,7 +385,7 @@ class TestFallback:
         c = solve_cpl_binary([0.5, 0.7], [1.0, 0.7], 0.5, 0.5)
         assert seen == [(False, [0.5], [False]), (True, [0.5], [True])]
         assert c[1] == 0.7
-        assert c[0] == pytest.approx(oracle_limit(0.5, 1.0, 0.5, 0.5), rel=1e-13)
+        assert c[0] == pytest.approx(oracle_limit((0.5, 1.0), (0.5, 0.5), 0.5), rel=1e-13)
 
     def test_uncertified_after_refinement_raises(self, monkeypatch):
         # no rule meets a tolerance below its own rounding floor

@@ -303,14 +303,18 @@ def test_commands_exit_0_2_or_3_and_keep_their_promise(command, data):
     """No traceback; exit 2 only for a broken flag, and then no output file;
     exit 0 with the promised JSON keys or rows."""
     flags, n_broken = data.draw(_run(command))
-    sizes = data.draw(st.tuples(st.integers(8, 30), st.integers(8, 30)))
-    # estimate --aggregates combines 2 to 4 trials
-    extra = data.draw(st.lists(st.integers(8, 30), max_size=2))
+    # every command but breslow pools 2 to 4 trials
+    sizes = data.draw(st.lists(st.integers(8, 30), min_size=2, max_size=4))
+    trials = list(zip(sizes, (-1.2, -0.2, -0.7, 0.3)))
     with tempfile.TemporaryDirectory() as tmp:
         inputs, outputs = Path(tmp) / "in", Path(tmp) / "out"
         inputs.mkdir()
         outputs.mkdir()
-        scenario = {"trial_effects": [[-1.2], [-0.2]], "sizes": list(sizes), "covariate_dist": _LAW}
+        scenario = {
+            "trial_effects": [[beta] for _, beta in trials],
+            "sizes": sizes,
+            "covariate_dist": _LAW,
+        }
         (inputs / "scenario.json").write_text(json.dumps(scenario))
         argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
         out = outputs / "out.csv"
@@ -320,11 +324,10 @@ def test_commands_exit_0_2_or_3_and_keep_their_promise(command, data):
             hrmix.write_patient_csv(hrmix.simulate_scenario(spec), inputs / "lines.csv")
             argv += ["--lines", str(inputs / "lines.csv")]
         elif command == "estimate":
-            trials = [
-                {"n": n, "beta_hat": [beta], "covariance": [[0.05]]}
-                for n, beta in zip([*sizes, *extra], (-1.2, -0.2, -0.7, 0.3))
-            ]
-            aggs = {"trials": trials, "covariate_dist": _LAW}
+            aggs = {
+                "trials": [{"n": n, "beta_hat": [beta], "covariance": [[0.05]]} for n, beta in trials],
+                "covariate_dist": _LAW,
+            }
             (inputs / "aggs.json").write_text(json.dumps(aggs))
             argv += ["--aggregates", str(inputs / "aggs.json")]
         else:

@@ -400,8 +400,8 @@ def test_plugin_failure_stays_with_its_cell(monkeypatch):
     # a plug-in cell the binary rule cannot certify fails alone: the one
     # batched solve keeps every other cell's root
     base = bias_sweep(TINY, TINY_GRID, replicates=100)
-    _, _, alpha, beta = analysis._sweep_fits(TINY, np.asarray(TINY_GRID), 100)
-    a_hat, b_hat = np.exp(alpha[..., 0]), np.exp(beta[..., 0])
+    _, _, effects = analysis._sweep_fits(TINY, np.asarray(TINY_GRID), 100)
+    a_hat, b_hat = np.exp(effects[..., 0])
     pairs = list(zip(a_hat.ravel(), b_hat.ravel()))
     # the first solved cell whose (a, b) no other cell shares
     r, g = next(
@@ -412,9 +412,9 @@ def test_plugin_failure_stays_with_its_cell(monkeypatch):
     cell = (float(a_hat[r, g]), float(b_hat[r, g]))
     rule = estimators._cpl_binary_rule
 
-    def uncertified_at_cell(a, b, *args, refined=False):
-        c, certified = rule(a, b, *args, refined=refined)
-        return c, certified & ~((a == cell[0]) & (b == cell[1]))
+    def uncertified_at_cell(rates, *args, refined=False):
+        c, certified = rule(rates, *args, refined=refined)
+        return c, certified & ~((rates[0] == cell[0]) & (rates[1] == cell[1]))
 
     monkeypatch.setattr(estimators, "_cpl_binary_rule", uncertified_at_cell)
     result = bias_sweep(TINY, TINY_GRID, replicates=100)
@@ -431,7 +431,7 @@ def test_plugin_failure_stays_with_its_cell(monkeypatch):
 
     # the public solvers name the cell they cannot certify
     p, q = TINY.mixing_p, TINY.covariate_dist.arm_probability()
-    c, _ = estimators._binary_limit([1.5, cell[0]], [0.5, cell[1]], p, q, np.inf)
+    c = estimators._pooled_limit_binary([[1.5, cell[0]], [0.5, cell[1]]], [p, 1 - p], q, np.inf)
     assert np.isnan(c).tolist() == [False, True]
     for solve, args, upper in (
         (solve_cpl_binary, (), 50.0),

@@ -145,6 +145,27 @@ class TestLinearCombiners:
             CustomWeights((1.2, -0.2))
 
 
+_TWO_TRIALS = (_agg(-0.5, 0.02, 100), _agg(0.1, 0.03, 80))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CustomWeights((math.nan, 1.0)),
+        lambda: var_theta_hm_binary(1.0, 2.0, math.nan, 0.1, 0.5),
+        lambda: var_theta_hm_binary(1.0, 2.0, 0.1, math.nan, 0.5),
+        lambda: var_theta_hm_binary(math.inf, 2.0, 0.1, 0.1, 0.5),
+        lambda: linear_hr(_TWO_TRIALS, z=math.nan),
+        lambda: linear_hr(_TWO_TRIALS, z=-math.inf),
+    ],
+    ids=["custom-weight-nan", "var-a-nan", "var-b-nan", "hr-inf", "z-nan", "z-inf"],
+)
+def test_nonfinite_input_is_rejected(call):
+    # every comparison with NaN is false, so a test of the bad side lets it through
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestSolveCplBinary:
     def test_table_value(self):
         assert solve_cpl_binary(0.5, 1.0, 0.5, 0.5) == pytest.approx(0.682, abs=0.015)
