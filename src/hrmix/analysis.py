@@ -25,7 +25,7 @@ from .data import (
     replicate_stream,
 )
 from .errors import HrmixError
-from .estimators import _pl_root, _pooled_limit_binary, _size_shares, c_hm_binary, solve_cpl_binary
+from .estimators import _binary_definitions, _pl_root, _pooled_limit_binary, _size_shares
 
 __all__ = [
     "OrderingReport",
@@ -88,10 +88,8 @@ def proposition3_check(a: float, b: float, p: float, q: float) -> OrderingReport
     """
     if not (0 < a <= b):
         raise ValueError("need 0 < a <= b")
-    c_hm = c_hm_binary(a, b, p)
-    exp_theta_l = a**p * b ** (1 - p)
-    c_l = p * a + (1 - p) * b
-    c_pl = solve_cpl_binary(a, b, p, q)
+    values = _binary_definitions(a, b, p, q)
+    c_hm, c_pl, exp_theta_l, c_l = values.values()
     margins_hm = (c_hm - a, exp_theta_l - c_hm, c_l - exp_theta_l, b - c_l)
     margins_pl = (c_pl - a, c_l - c_pl, b - c_l)
     boundary = a == b
@@ -100,10 +98,7 @@ def proposition3_check(a: float, b: float, p: float, q: float) -> OrderingReport
         b=b,
         p=p,
         q=q,
-        c_hm=c_hm,
-        exp_theta_l=exp_theta_l,
-        c_l=c_l,
-        c_pl=c_pl,
+        **values,
         margins_hm=margins_hm,
         margins_pl=margins_pl,
         chain_hm_holds=all(m > _ORDERING_MARGIN for m in margins_hm),
@@ -376,9 +371,8 @@ def _grid_from_values(a_values, b_values, p, q, populated) -> GridResult:
         out[populated] = values
         return out
 
-    c_hm = surface(c_hm_binary(a, b, p))
-    c_pl = surface(solve_cpl_binary(a, b, p, q))
-    exp_tl = surface(a**p * b ** (1 - p))
+    values = {name: surface(v) for name, v in _binary_definitions(a, b, p, q).items()}
+    c_hm, c_pl, exp_tl, _ = values.values()
     with np.errstate(invalid="ignore"):
         pct_hm_vs_pl = 100.0 * (c_hm - c_pl) / c_pl
         pct_expl_vs_pl = 100.0 * (exp_tl - c_pl) / c_pl
@@ -386,10 +380,7 @@ def _grid_from_values(a_values, b_values, p, q, populated) -> GridResult:
     return GridResult(
         a_values=a_values,
         b_values=b_values,
-        c_hm=c_hm,
-        c_pl=c_pl,
-        exp_theta_l=exp_tl,
-        c_l=surface(p * a + (1 - p) * b),
+        **values,
         pct_hm_vs_pl=pct_hm_vs_pl,
         pct_expl_vs_pl=pct_expl_vs_pl,
         pct_expl_vs_hm=pct_expl_vs_hm,

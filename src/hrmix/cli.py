@@ -69,16 +69,8 @@ def _print_json(obj) -> None:
 
 
 def _cmd_solve(args) -> int:
-    out = {
-        "a": args.a,
-        "b": args.b,
-        "p": args.p,
-        "q": args.q,
-        "c_hm": estimators.c_hm_binary(args.a, args.b, args.p),
-        "c_pl": estimators.solve_cpl_binary(args.a, args.b, args.p, args.q),
-        "exp_theta_l": args.a**args.p * args.b ** (1 - args.p),
-        "c_l": args.p * args.a + (1 - args.p) * args.b,
-    }
+    out = {"a": args.a, "b": args.b, "p": args.p, "q": args.q}
+    out.update(estimators._binary_definitions(args.a, args.b, args.p, args.q))
     if args.tmax_H is not None:
         out["H"] = args.tmax_H
         out["c_censored"] = estimators.solve_censored_binary(

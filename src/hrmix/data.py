@@ -8,8 +8,8 @@ are drawn and in whatever order.
 Patient-line CSV files are read a block of lines at a time by two
 readers that give the same datasets and the same errors: numpy's C reader
 (``np.loadtxt``) parses blocks of plain ASCII lines without quotes, and
-the csv module reads the header, quoted records, other blocks, and every
-record an error report must name.
+the csv module reads the header, quoted records and every other block,
+converting and checking one record at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
@@ -474,13 +475,23 @@ def _loadtxt_agrees(text: str) -> bool:
     )
 
 
-def _raise_bad_record(block: list, lineno: int, k: int) -> None:
-    """Raise the ``ParseError`` of the first bad record in ``block``.
+def _columns_ok(times, events, cov) -> bool:
+    return bool(
+        np.isfinite(times).all()
+        and (times >= 0).all()
+        and ((events == 0) | (events == 1)).all()
+        and np.isfinite(cov).all()
+    )
 
-    ``lineno`` is the CSV record number of ``block[0]``.  The checks are
-    those of :func:`_block_columns`, made one record at a time, so that the
-    error names the record a row-by-row read would have stopped at.
+
+def _block_columns(block: list, lineno: int, k: int):
+    """Convert and check one block of csv records, one record at a time.
+
+    Returns (trial ids, times, events, covariates) for the block's nonblank
+    records.  ``lineno`` is the CSV record number of ``block[0]``; the
+    first bad record raises its ``ParseError``.
     """
+    ids, times, events, cov = [], [], [], []
     for lineno, row in enumerate(block, start=lineno):
         if not row:
             continue
@@ -492,51 +503,18 @@ def _raise_bad_record(block: list, lineno: int, k: int) -> None:
             z = [float(v) for v in row[3:]]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if not np.isfinite(t) or t < 0:
+        if not math.isfinite(t) or t < 0:
             raise ParseError(f"time must be finite and nonnegative, got {row[1]}", line=lineno)
         if e not in (0, 1):
             raise ParseError(f"event must be 0 or 1, got {row[2]}", line=lineno)
-        if not all(np.isfinite(z)):
+        if not all(map(math.isfinite, z)):
             raise ParseError("covariates must be finite", line=lineno)
-
-
-def _columns_ok(times, events, cov) -> bool:
-    return bool(
-        np.isfinite(times).all()
-        and (times >= 0).all()
-        and ((events == 0) | (events == 1)).all()
-        and np.isfinite(cov).all()
-    )
-
-
-def _block_columns(block: list, lineno: int, k: int):
-    """Convert and check one block of csv records as whole columns.
-
-    Returns (trial ids, times, events, covariates) for the block's nonblank
-    records.  A block that fails a check is read again record by record to
-    raise the first bad record's error.
-    """
-    rows = block if all(block) else [row for row in block if row]
-    n = len(rows)
-    if n == 0:
-        return (), np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, k))
-    if set(map(len, rows)) == {3 + k}:
-        ids, t_col, e_col, *z_cols = zip(*rows)
-        try:
-            times = np.fromiter(map(float, t_col), float, count=n)
-            # an event too large for int64 overflows here and is reported
-            # by the record check as "event must be 0 or 1"
-            events = np.fromiter(map(int, e_col), np.int64, count=n)
-            cov = np.empty((n, k))
-            for j, col in enumerate(z_cols):
-                cov[:, j] = np.fromiter(map(float, col), float, count=n)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if _columns_ok(times, events, cov):
-                return ids, times, events, cov
-    _raise_bad_record(block, lineno, k)
-    raise AssertionError("a block failed a check that none of its records fails")
+        ids.append(row[0])
+        times.append(t)
+        events.append(e)
+        cov.extend(z)
+    cov = np.array(cov, float).reshape(len(ids), k)
+    return ids, np.array(times, float), np.array(events, np.int64), cov
 
 
 def _line_columns(lines: list, text: str, lineno: int, k: int):
@@ -628,8 +606,8 @@ def read_patient_csv(path) -> list[TrialDataset]:
     and the block is checked column by column.  The csv module reads the
     header; every block from the first one holding a quote or an
     over-long line to the end of the file; a block with other characters;
-    and a block numpy rejects or that fails a check, record by record
-    where it must name the bad one.
+    and a block numpy rejects or that fails a check.  It converts and
+    checks one record at a time, so it is the slower of the two.
     """
     table, sizes = _read_trial_table(path)
     trials = []

@@ -236,17 +236,21 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
 
     Component j is sum_i w_ij * exp(beta_hat_ij * z_j); the result lives
     on the hazard-ratio scale.  The covariance is first-order (delta
-    method) in the per-trial estimates.
+    method) in the per-trial estimates.  A z at which either overflows
+    raises ``ValueError``.
     """
     k = _check_aggregates(aggregates)
     z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (k,))
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
     w = _weight_matrix(aggregates, scheme)
-    hr = np.array([np.exp(a.beta_hat * z) for a in aggregates])  # (m, k)
-    est = (w * hr).sum(axis=0)
-    grad = w * hr * z  # d est_j / d beta_ij
-    cov = sum(np.outer(grad[i], grad[i]) * a.covariance for i, a in enumerate(aggregates))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hr = np.array([np.exp(a.beta_hat * z) for a in aggregates])  # (m, k)
+        est = (w * hr).sum(axis=0)
+        grad = w * hr * z  # d est_j / d beta_ij
+        cov = sum(np.outer(grad[i], grad[i]) * a.covariance for i, a in enumerate(aggregates))
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(cov))):
+        raise ValueError(f"e^(beta*z) or its covariance overflows at z = {z.tolist()}")
     p = _size_shares([a.size for a in aggregates])[0]
     return CombinedEffect(CombineMethod.LINEAR_HR, est, cov, p)
 
@@ -534,8 +538,14 @@ def _pl_equation(effects, weights, dist):
         raise ValueError("the pooled limit needs a covariate law with two or more points")
     _check_span(dist.support - dist.support[-1], dist.k)
     z, pi = dist.support, dist.probs
-    rates = [np.exp(z @ beta) for beta in effects]
-    upper = np.array(_TAIL_CUT / min(r[:-1].min() for r in rates))
+    with np.errstate(all="ignore"):
+        rates = [np.exp(z @ beta) for beta in effects]
+        upper = np.array(_TAIL_CUT / min(r[:-1].min() for r in rates))
+    if not (all(np.all(np.isfinite(r) & (r > 0)) for r in rates) and np.isfinite(upper)):
+        raise NonConvergenceError(
+            "the pooled limit is out of the fixed rule's range: "
+            "e^{beta'z} over- or underflows on the covariate law's support"
+        )
     first, n_geo = _rule_panels(max(r.max() for r in rates), upper)
     u, weight, half = _rule_nodes(first, upper, int(n_geo))
     u, flat = u.reshape(-1, 1), weight.ravel()
@@ -602,7 +612,8 @@ def solve_theta_pl_general(alpha, beta, p: float, dist: CovariateDistribution) -
     1e-9, then takes two more full steps; alpha == beta returns alpha
     exactly.  A root at which the Kronrod-Gauss error estimate of the
     integral exceeds max(1e-12, 1e-10 * |integral|) raises
-    NonConvergenceError.
+    NonConvergenceError, as do effects whose e^{beta'z} over- or
+    underflows on the support.
     """
     return _pl_root(*_trial_lists(alpha, beta, p, dist), dist)[0]
 
@@ -666,6 +677,18 @@ def c_hm_binary(a, b, p):
     return float(out) if out.ndim == 0 else out
 
 
+def _binary_definitions(a, b, p, q) -> dict:
+    """The four binary combined effects at (a, b, p, q), which broadcast:
+    ``c_hm``, ``c_pl``, ``exp_theta_l`` (the size-weighted geometric mean)
+    and ``c_l`` (the size-weighted arithmetic mean)."""
+    return {
+        "c_hm": c_hm_binary(a, b, p),
+        "c_pl": solve_cpl_binary(a, b, p, q),
+        "exp_theta_l": a**p * b ** (1 - p),
+        "c_l": p * a + (1 - p) * b,
+    }
+
+
 def _hm_equation(theta, effects, weights, dist):
     """Minus ``analysis.kl_objective``, its gradient R(theta), dR/dtheta and each dR/dbeta_j."""
     z = dist.support
@@ -710,8 +733,8 @@ def var_theta_hm_binary(
     combiner.
     """
     _validate_binary_args(a_hat, b_hat, p)
-    if not (var_a >= 0 and var_b >= 0):
-        raise ValueError("variances must be nonnegative")
+    if not (0 <= var_a < math.inf and 0 <= var_b < math.inf):
+        raise ValueError("variances must be nonnegative and finite")
     # in units of min(a_hat, b_hat), which the ratio does not see: no overflow
     lo = min(a_hat, b_hat)
     ia, ib = lo / a_hat, lo / b_hat
@@ -742,6 +765,8 @@ def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect
 
 def wald_test(effect: CombinedEffect, null_value: float = 0.0, component: int = 0) -> WaldResult:
     """Two-sided normal Wald test of one component of a combined effect."""
+    if not math.isfinite(null_value):
+        raise ValueError("null_value must be finite")
     if effect.covariance is None:
         raise MissingVarianceError("combined effect carries no covariance")
     k = effect.estimate.shape[0]

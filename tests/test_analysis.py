@@ -176,6 +176,15 @@ class TestBiasSweep:
             assert after.theta_m_lo[g] == pytest.approx(np.percentile(kept, 2.5), rel=1e-12)
             assert after.theta_m_hi[g] == pytest.approx(np.percentile(kept, 97.5), rel=1e-12)
 
+    def test_plugin_cell_out_of_range_fails_alone(self):
+        # e^{beta z} overflows in cell 1's general solve, which fails that
+        # cell with a typed error and leaves cell 0 solved
+        law = CovariateDistribution(support=[[0.0], [0.5], [1.0]], probs=[0.3, 0.3, 0.4])
+        effects = np.array([[[-0.7], [800.0]], [[0.4], [0.4]]])  # (trials, cells, k)
+        got = analysis._sweep_plugin(effects, [0.6, 1 - 0.6], law)
+        assert np.isnan(got[1])
+        assert got[0] == _pl_root([np.array([-0.7]), np.array([0.4])], [0.6, 1 - 0.6], law)[0][0]
+
     def test_validation(self, example3_scenario):
         with pytest.raises(ValueError):
             bias_sweep(example3_scenario, [1.0], replicates=50)

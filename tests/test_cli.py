@@ -415,6 +415,16 @@ class TestEstimate:
         inverse = sum(w / hr for w, hr in zip(shares, (0.3, 0.8, math.exp(-0.6))))
         assert out["harmonic_mean"]["estimate"][0] == pytest.approx(-math.log(inverse), abs=1e-12)
 
+    def test_pooled_limit_out_of_range_is_solver_error(self, capsys, tmp_path):
+        # e^{300 z} is finite at z = 1, where the linear combiners take it,
+        # and overflows at the law's support point z = 3
+        path = self._aggregates_file(tmp_path, 300.0, 0.1)
+        payload = json.loads(Path(path).read_text())
+        payload["covariate_dist"] = {"support": [[0.0], [3.0]], "probs": [0.5, 0.5]}
+        Path(path).write_text(json.dumps(payload))
+        assert main(["estimate", "--aggregates", path]) == 3
+        assert "out of the fixed rule's range" in capsys.readouterr().err
+
     def test_zero_variance_inverse_weighting_is_input_error(self, capsys, tmp_path):
         path = self._aggregates_file(tmp_path, math.log(0.3), math.log(0.8), var=0.0)
         assert main(["estimate", "--aggregates", path, "--weights=inverse-variance"]) == 2

@@ -146,6 +146,7 @@ class TestLinearCombiners:
 
 
 _TWO_TRIALS = (_agg(-0.5, 0.02, 100), _agg(0.1, 0.03, 80))
+_EFFECT = CombinedEffect(CombineMethod.HARMONIC_MEAN, [-0.5], [[0.0625]], 0.5)
 
 
 @pytest.mark.parametrize(
@@ -157,12 +158,29 @@ _TWO_TRIALS = (_agg(-0.5, 0.02, 100), _agg(0.1, 0.03, 80))
         lambda: var_theta_hm_binary(math.inf, 2.0, 0.1, 0.1, 0.5),
         lambda: linear_hr(_TWO_TRIALS, z=math.nan),
         lambda: linear_hr(_TWO_TRIALS, z=-math.inf),
+        lambda: wald_test(_EFFECT, null_value=math.nan),
     ],
-    ids=["custom-weight-nan", "var-a-nan", "var-b-nan", "hr-inf", "z-nan", "z-inf"],
+    ids=["custom-weight-nan", "var-a-nan", "var-b-nan", "hr-inf", "z-nan", "z-inf", "null-nan"],
 )
 def test_nonfinite_input_is_rejected(call):
     # every comparison with NaN is false, so a test of the bad side lets it through
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # e^{beta z} overflows at a finite z, where numpy would give inf
+        (lambda: linear_hr(_TWO_TRIALS, z=1e4), "overflows at z = \\[10000.0\\]"),
+        # the other hazard ratio in units of min(a, b) underflows to 0: 0 * inf
+        (lambda: var_theta_hm_binary(1e-300, 1e300, 0.1, math.inf, 0.5), "and finite"),
+        (lambda: var_theta_hm_binary(1.0, 2.0, math.inf, 0.1, 0.5), "and finite"),
+    ],
+    ids=["linear-hr-overflow", "var-b-inf", "var-a-inf"],
+)
+def test_nonfinite_result_is_rejected(call, error):
+    with pytest.raises(ValueError, match=error):
         call()
 
 
@@ -302,6 +320,19 @@ class TestSolveThetaPlGeneral:
         assert math.exp(theta[0]) == pytest.approx(
             solve_cpl_binary(0.08, 0.5, 0.5, 0.5), abs=1e-8
         )
+
+    @pytest.mark.parametrize(
+        "effect, support",
+        [(800.0, [[0.0], [1.0]]), (-800.0, [[1.0], [0.0]])],
+        ids=["rate-overflows", "rate-underflows"],
+    )
+    def test_rate_out_of_range_raises(self, effect, support):
+        # e^{beta z} overflows to inf, or underflows to 0 at a point other
+        # than the last, which makes the rule's range infinite; numpy's
+        # overflow and divide warnings are errors in this suite
+        law = CovariateDistribution(support=support, probs=[0.5, 0.5])
+        with pytest.raises(NonConvergenceError, match="out of the fixed rule's range"):
+            solve_theta_pl_general([effect], [0.1], 0.5, law)
 
     def test_uncertified_root_raises(self, bernoulli_half, uncertified_rule):
         with pytest.raises(NonConvergenceError, match="cannot certify the pooled-limit root"):
@@ -587,6 +618,33 @@ class TestTrialAxis:
             got = estimate([_agg(*trials[i]) for i in order], dist)
             np.testing.assert_allclose(got.estimate, want.estimate, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.covariance, want.covariance, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "estimate, solve",
+        [
+            (theta_m_estimate, lambda *args: estimators._pl_root(*args)[0]),
+            (theta_hm_estimate, estimators._hm_root),
+        ],
+        ids=["misspecified", "harmonic-mean"],
+    )
+    def test_three_trial_covariance_against_bootstrap_oracle(self, estimate, solve):
+        # parametric bootstrap: redraw every trial's estimate from its normal
+        # law and solve for the combined effect of the three draws
+        dist, trials = _THREE_TRIALS[2]
+        aggs = [_agg(*t) for t in trials]
+        formula = estimate(aggs, dist).covariance
+        total = sum(a.size for a in aggs)
+        weights = [a.size / total for a in aggs]
+        roots = [np.linalg.cholesky(a.covariance) for a in aggs]
+        rng = np.random.default_rng(7)
+        n_draws = 2000
+        draws = np.empty((n_draws, 2))
+        for i in range(n_draws):
+            effects = [a.beta_hat + r @ rng.standard_normal(2) for a, r in zip(aggs, roots)]
+            draws[i] = solve(effects, weights, dist)
+        boot = np.cov(draws.T)
+        rel = np.linalg.norm(formula - boot) / np.linalg.norm(boot)
+        assert rel < 0.10
 
     @given(
         effects=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),

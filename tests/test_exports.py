@@ -1,6 +1,6 @@
 """Module boundaries: every exported name exists, so a deletion cannot leave a
-stale export, only ``hrmix.data`` reads or writes CSV, and no module keeps an
-import it does not use.  README lists every export, every scenario kind and
+stale export, only ``hrmix.data`` reads or writes CSV, no module keeps an
+import it does not use, and no private name is left unused.  README lists every export, every scenario kind and
 every ``--weights`` name, as the code defines them."""
 
 import ast
@@ -58,6 +58,49 @@ def test_no_unused_imports(name):
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - used - set(getattr(module, "__all__", [])) == set()
+
+
+def _defined(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        bound = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        bound = [stmt.target]
+    else:
+        return []
+    return [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _named(node):
+    """Every name ``node`` reads, imports, or looks up as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_no_dead_private_code():
+    # a private function, class or constant is named by some other
+    # module-level statement of the package, so a deletion leaves no orphan
+    package = Path(hrmix.__file__).parent
+    stmts = [s for p in sorted(package.glob("*.py")) for s in ast.parse(p.read_text("utf-8")).body]
+    users: dict = {}
+    for i, stmt in enumerate(stmts):
+        for name in set(_named(stmt)):
+            users.setdefault(name, set()).add(i)
+    private = [
+        (i, name)
+        for i, stmt in enumerate(stmts)
+        for name in _defined(stmt)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert private
+    assert [name for i, name in private if not users.get(name, set()) - {i}] == []
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
