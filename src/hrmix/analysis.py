@@ -21,6 +21,7 @@ from .data import (
     ScenarioSpec,
     TrialDataset,
     _draw_latent,
+    _integer,
     _write_csv,
     replicate_stream,
 )
@@ -219,6 +220,7 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
     Replicate streams depend only on (seed, replicate) and no row's fit
     depends on its chunk, so results do not depend on the chunk size.
     """
+    replicates = _integer(replicates, "replicates")
     if replicates < 100:
         raise ValueError("need at least 100 replicates for stable percentiles")
     grid = np.asarray(sorted(float(t) for t in t_max_grid), dtype=float)
@@ -542,8 +544,10 @@ def breslow_limit(
     exponential groups, fits the pooled model, and smooths the baseline
     increments over ``window``-event blocks before forming hazard ratios
     against the unit-hazard reference.  It needs at least 4 subjects, one
-    per group, and at least one full block of event times.
+    per group, and at least one full block of event times.  The counts and
+    the seed must be integers, as for :class:`ScenarioSpec`.
     """
+    n_subjects, window = _integer(n_subjects, "n_subjects"), _integer(window, "window")
     if n_subjects < 4:
         raise ValueError("n_subjects must be at least 4, one per group")
     if window < 1:

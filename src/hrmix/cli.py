@@ -23,7 +23,9 @@ from . import __version__, analysis, data, estimators
 from .cox import _fit_trials_and_pooled
 from .errors import HrmixError, ParseError, SchemaError
 
-_INPUT_ERRORS = (ParseError, SchemaError, ValueError, KeyError, OSError, json.JSONDecodeError)
+# json.JSONDecodeError is a ValueError, and data._schema turns a missing
+# JSON field into a SchemaError, so a bare KeyError is a bug, not bad input
+_INPUT_ERRORS = (ParseError, SchemaError, ValueError, OSError)
 
 # The weight schemes of the linear combiners by their --weights names; the
 # first is the default

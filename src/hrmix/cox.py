@@ -598,14 +598,22 @@ def breslow_cumhaz(data: TrialDataset, beta_hat=None) -> BreslowCurve:
     The increment at an event time equals the number of events there
     divided by the risk-set sum of exp(beta_hat' Z).  With no covariates
     (k = 0) the linear predictor is zero and this reduces to the
-    Nelson-Aalen estimate.
+    Nelson-Aalen estimate.  A non-finite ``beta_hat``, or one at which a
+    risk-set sum of exp(beta_hat' Z) over- or underflows, so that an
+    increment is not finite and positive, raises ``ValueError``.
     """
     if beta_hat is None:
         beta_hat = np.zeros(data.k)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
     if beta_hat.shape != (data.k,):
         raise ValueError(f"beta_hat must have length {data.k}")
-    return _breslow_ordered(data, beta_hat, _descending(data))
+    if not np.all(np.isfinite(beta_hat)):
+        raise ValueError("beta_hat must be finite")
+    with np.errstate(over="ignore", divide="ignore"):
+        curve = _breslow_ordered(data, beta_hat, _descending(data))
+    if not np.all(np.isfinite(curve.increments) & (curve.increments > 0)):
+        raise ValueError(f"exp(beta'z) over- or underflows at beta_hat = {beta_hat.tolist()}")
+    return curve
 
 
 def _breslow_ordered(data: TrialDataset, beta_hat: np.ndarray, order: np.ndarray) -> BreslowCurve:

@@ -317,8 +317,9 @@ def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
 
     The Philox key is built directly from ``(master_seed, replicate)``,
     so a stream does not depend on which other replicates are drawn, or
-    in what order.
+    in what order.  Both must be integers, as for :class:`ScenarioSpec`.
     """
+    master_seed, replicate = _integer(master_seed, "master_seed"), _integer(replicate, "replicate")
     if not 0 <= master_seed < 2**64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
     if not 0 <= replicate < 2**64:
@@ -354,7 +355,9 @@ def simulate_trial(
     inverse-transform sampling T = H0^{-1}(E / exp(effect' Z)) with E a
     unit exponential.  Draw order is fixed (covariates, event times,
     censoring times) so a given stream always produces the same dataset.
+    ``size`` must be an integer, as for :class:`ScenarioSpec`.
     """
+    size = _integer(size, "size")
     if size < 1:
         raise ValueError("size must be at least 1")
     effect = np.atleast_1d(np.asarray(effect, dtype=float))

@@ -176,7 +176,7 @@ class WaldResult:
     null_value: float
 
 
-def _check_aggregates(aggregates, dist: CovariateDistribution | None = None) -> int:
+def _check_aggregates(aggregates, dist: CovariateDistribution | None = None) -> list:
     if len(aggregates) < 2:
         raise ValueError("need at least 2 trial aggregates")
     k = aggregates[0].k
@@ -184,7 +184,7 @@ def _check_aggregates(aggregates, dist: CovariateDistribution | None = None) -> 
         raise DimensionMismatchError("aggregates disagree on dimension")
     if dist is not None and dist.k != k:
         raise DimensionMismatchError("aggregates and covariate law disagree on dimension")
-    return k
+    return _size_shares([a.size for a in aggregates])
 
 
 def _weight_matrix(aggregates, scheme: WeightScheme) -> np.ndarray:
@@ -223,11 +223,10 @@ def linear_log_hr(aggregates, scheme: WeightScheme = InverseVariance()) -> Combi
     independent trials the covariance entry (j, l) is
     sum_i w_ij * w_il * Cov_i[j, l].
     """
-    _check_aggregates(aggregates)
+    p = _check_aggregates(aggregates)[0]
     w = _weight_matrix(aggregates, scheme)
     est = sum(w[i] * a.beta_hat for i, a in enumerate(aggregates))
     cov = sum(np.outer(w[i], w[i]) * a.covariance for i, a in enumerate(aggregates))
-    p = _size_shares([a.size for a in aggregates])[0]
     return CombinedEffect(CombineMethod.LINEAR_LOG, est, cov, p)
 
 
@@ -239,8 +238,8 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
     method) in the per-trial estimates.  A z at which either overflows
     raises ``ValueError``.
     """
-    k = _check_aggregates(aggregates)
-    z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (k,))
+    p = _check_aggregates(aggregates)[0]
+    z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (aggregates[0].k,))
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
     w = _weight_matrix(aggregates, scheme)
@@ -251,7 +250,6 @@ def linear_hr(aggregates, scheme: WeightScheme = InverseVariance(), z=1.0) -> Co
         cov = sum(np.outer(grad[i], grad[i]) * a.covariance for i, a in enumerate(aggregates))
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(cov))):
         raise ValueError(f"e^(beta*z) or its covariance overflows at z = {z.tolist()}")
-    p = _size_shares([a.size for a in aggregates])[0]
     return CombinedEffect(CombineMethod.LINEAR_HR, est, cov, p)
 
 
@@ -583,13 +581,27 @@ def _pl_equation(effects, weights, dist):
     return equation
 
 
+def _minimise(equation, effects, weights, tol):
+    """Newton on ``equation`` from the weighted mean of the effects, then,
+    if that fails, from the effect of lowest objective."""
+    start = sum(w * beta for w, beta in zip(weights, effects))
+    for retry in (False, True):
+        try:
+            return _newton_min(lambda t: equation(t)[:3], start, tol)
+        except (NonConvergenceError, SingularMatrixError):
+            if retry:
+                raise
+            with np.errstate(all="ignore"):
+                values = np.array([equation(beta)[0] for beta in effects])
+            start = effects[np.argmin(np.where(np.isfinite(values), values, np.inf))]
+
+
 def _pl_root(effects, weights, dist):
     """The general pooled limit and the equation it solves."""
     equation = _pl_equation(effects, weights, dist)
     if all(np.array_equal(effects[0], beta) for beta in effects[1:]):
         return effects[0].copy(), equation
-    start = sum(w * beta for w, beta in zip(weights, effects))
-    theta = _newton_min(lambda t: equation(t)[:3], start, _ROOT_TOL)
+    theta = _minimise(equation, effects, weights, _ROOT_TOL)
     # Newton converges quadratically, so two more steps take a root with
     # |R| <= _ROOT_TOL down to the rounding floor of R even where R is flat
     for _ in range(2):
@@ -609,21 +621,20 @@ def solve_theta_pl_general(alpha, beta, p: float, dist: CovariateDistribution) -
     the minimiser is unique, wherever the support spans k dimensions; a
     support that does not raises SingularMatrixError.  Newton with Armijo
     backtracking runs from p*alpha + (1-p)*beta to a gradient max-norm of
-    1e-9, then takes two more full steps; alpha == beta returns alpha
-    exactly.  A root at which the Kronrod-Gauss error estimate of the
-    integral exceeds max(1e-12, 1e-10 * |integral|) raises
+    1e-9, and once more from whichever of alpha and beta has the lower
+    objective if that fails; two more full steps follow.  alpha == beta
+    returns alpha exactly.  A root at which the Kronrod-Gauss error
+    estimate of the integral exceeds max(1e-12, 1e-10 * |integral|) raises
     NonConvergenceError, as do effects whose e^{beta'z} over- or
     underflows on the support.
     """
     return _pl_root(*_trial_lists(alpha, beta, p, dist), dist)[0]
 
 
-def _sandwich(jac, d_inputs, covariances):
-    """Delta-method covariance sum_j J_j Cov_j J_j' of a root of R, with
-    implicit-function sensitivities J_j = -(dR/dtheta)^-1 dR/dbeta_j."""
-    sens = [solve_linear(jac, -d) for d in d_inputs]
-    cov = sum(j @ c @ j.T for j, c in zip(sens, covariances))
-    return 0.5 * (cov + cov.T)
+def _sensitivities(theta, equation):
+    """Implicit-function sensitivities J_j = -(dR/dtheta)^-1 dR/dbeta_j of a root of R."""
+    _, _, jac, _, d_inputs = equation(theta, inputs=True)
+    return [solve_linear(jac, -d) for d in d_inputs]
 
 
 def theta_pl_sensitivity(alpha, beta, p: float, dist: CovariateDistribution):
@@ -633,9 +644,16 @@ def theta_pl_sensitivity(alpha, beta, p: float, dist: CovariateDistribution):
     the implicit-function theorem J_alpha = -(dR/dtheta)^-1 dR/dalpha on
     the residual R.  At alpha = beta symmetry forces J_alpha + J_beta = I.
     """
-    theta, equation = _pl_root(*_trial_lists(alpha, beta, p, dist), dist)
-    _, _, jac, _, d_inputs = equation(theta, inputs=True)
-    return tuple(solve_linear(jac, -d) for d in d_inputs)
+    return tuple(_sensitivities(*_pl_root(*_trial_lists(alpha, beta, p, dist), dist)))
+
+
+def _plug_in(root, method, aggregates, dist) -> CombinedEffect:
+    """``root`` of the trials by size share, with covariance sum_j J_j Cov_j J_j'."""
+    shares = _check_aggregates(aggregates, dist)
+    theta, equation = root([a.beta_hat for a in aggregates], shares, dist)
+    sens = _sensitivities(theta, equation)
+    cov = sum(j @ a.covariance @ j.T for j, a in zip(sens, aggregates))
+    return CombinedEffect(method, theta, 0.5 * (cov + cov.T), shares[0])
 
 
 def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
@@ -648,12 +666,7 @@ def theta_m_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     covariance is the delta-method sandwich of the per-trial covariances
     with the implicit-function sensitivities of :func:`theta_pl_sensitivity`.
     """
-    _check_aggregates(aggregates, dist)
-    weights = _size_shares([a.size for a in aggregates])
-    theta, equation = _pl_root([a.beta_hat for a in aggregates], weights, dist)
-    _, _, jac, _, d_inputs = equation(theta, inputs=True)
-    cov = _sandwich(jac, d_inputs, [a.covariance for a in aggregates])
-    return CombinedEffect(CombineMethod.MISSPECIFIED, theta, cov, weights[0])
+    return _plug_in(_pl_root, CombineMethod.MISSPECIFIED, aggregates, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +702,20 @@ def _binary_definitions(a, b, p, q) -> dict:
     }
 
 
-def _hm_equation(theta, effects, weights, dist):
-    """Minus ``analysis.kl_objective``, its gradient R(theta), dR/dtheta and each dR/dbeta_j."""
-    z = dist.support
-    et = dist.probs * np.exp(z @ theta)
-    ws = [et * w * np.exp(-z @ beta) for w, beta in zip(weights, effects)]
-    ds = [(z * w[:, None]).T @ z for w in ws]
-    mix = sum(ws)
-    return mix.sum() - theta @ dist.mean, mix @ z - dist.mean, sum(ds), [-d for d in ds]
-
-
 def _hm_root(effects, weights, dist):
+    """The harmonic-mean effect and its equation, shaped as :func:`_pl_equation`'s;
+    the objective is minus ``analysis.kl_objective``, a finite sum, always certified."""
     _check_span(dist.support, dist.k)
-    start = sum(w * beta for w, beta in zip(weights, effects))
-    return _newton_min(lambda t: _hm_equation(t, effects, weights, dist)[:3], start, _HM_TOL)
+    z = dist.support
+
+    def equation(theta, inputs=False):
+        et = dist.probs * np.exp(z @ theta)
+        ws = [et * w * np.exp(-z @ beta) for w, beta in zip(weights, effects)]
+        ds = [(z * w[:, None]).T @ z for w in ws]
+        mix, d_inputs = sum(ws), [-d for d in ds] if inputs else []
+        return mix.sum() - theta @ dist.mean, mix @ z - dist.mean, sum(ds), True, d_inputs
+
+    return _minimise(equation, effects, weights, _HM_TOL), equation
 
 
 def solve_theta_hm_general(alpha, beta, p: float, dist: CovariateDistribution) -> np.ndarray:
@@ -716,9 +729,10 @@ def solve_theta_hm_general(alpha, beta, p: float, dist: CovariateDistribution) -
     strictly convex wherever the support spans k dimensions, so the
     solution is its unique minimiser; a support that does not raises
     SingularMatrixError.  Newton with Armijo backtracking runs from
-    p*alpha + (1-p)*beta to a score max-norm of 1e-12.
+    p*alpha + (1-p)*beta to a score max-norm of 1e-12, and once more from
+    whichever of alpha and beta has the lower objective if that fails.
     """
-    return _hm_root(*_trial_lists(alpha, beta, p, dist), dist)
+    return _hm_root(*_trial_lists(alpha, beta, p, dist), dist)[0]
 
 
 def var_theta_hm_binary(
@@ -754,13 +768,7 @@ def var_theta_hm_general(aggregates, dist: CovariateDistribution) -> np.ndarray:
 
 def theta_hm_estimate(aggregates, dist: CovariateDistribution) -> CombinedEffect:
     """Harmonic-mean effect of m >= 2 trials by size share, with delta-method covariance."""
-    _check_aggregates(aggregates, dist)
-    effects = [a.beta_hat for a in aggregates]
-    weights = _size_shares([a.size for a in aggregates])
-    theta = _hm_root(effects, weights, dist)
-    _, _, jac, d_inputs = _hm_equation(theta, effects, weights, dist)
-    cov = _sandwich(jac, d_inputs, [a.covariance for a in aggregates])
-    return CombinedEffect(CombineMethod.HARMONIC_MEAN, theta, cov, weights[0])
+    return _plug_in(_hm_root, CombineMethod.HARMONIC_MEAN, aggregates, dist)
 
 
 def wald_test(effect: CombinedEffect, null_value: float = 0.0, component: int = 0) -> WaldResult:

@@ -239,6 +239,19 @@ class TestBreslow:
             idx = np.searchsorted(curve.event_times, t)
             assert curve.cumulative[idx - 1] == pytest.approx(t, rel=0.03)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 800.0])
+    def test_non_finite_curve_rejected(self, beta):
+        # e^800 overflows, so every risk set holding a treated subject sums to inf
+        data = _dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [1.0, 0.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            breslow_cumhaz(data, [beta])
+
+    def test_underflowing_arm_keeps_its_curve(self):
+        # e^-800 is 0, so only the control subjects count in each risk set
+        data = _dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], [1.0, 0.0, 1.0, 0.0])
+        curve = breslow_cumhaz(data, [-800.0])
+        np.testing.assert_array_equal(curve.increments, [0.5, 0.5, 1.0, 1.0])
+
     def test_cumulative_nondecreasing(self, example3_scenario):
         data = pool(simulate_scenario(example3_scenario, replicate=4))
         fit = fit_cox(data)

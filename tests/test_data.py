@@ -5,7 +5,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +24,8 @@ from hrmix import (
     SchemaError,
     TrialDataset,
     WeibullBaseline,
+    bias_sweep,
+    breslow_limit,
     pool,
     read_patient_csv,
     replicate_stream,
@@ -772,6 +774,32 @@ class TestScenarioJson:
 
     def test_mixing_p(self, example3_scenario):
         assert example3_scenario.mixing_p == pytest.approx(400 / 570)
+
+
+_LAW = CovariateDistribution.bernoulli(0.5)
+_SMALL_SPEC = ScenarioSpec(trial_effects=[[-0.5], [0.2]], sizes=[30, 20], covariate_dist=_LAW, seed=3)
+# each call takes one count or seed, and an integral value that it accepts
+_COUNT_AND_SEED_CALLS = {
+    "simulate_trial-size": (lambda v: simulate_trial([0.0], v, _LAW, rng=replicate_stream(0, 0)), 10),
+    "simulate_scenario-replicate": (lambda v: simulate_scenario(_SMALL_SPEC, v), 3),
+    "replicate_stream-seed": (lambda v: replicate_stream(v, 0).random(3).tolist(), 5),
+    "bias_sweep-replicates": (lambda v: bias_sweep(_SMALL_SPEC, [math.inf], v), 100),
+    "breslow_limit-subjects": (lambda v: breslow_limit(0.5, 1.0, 0.5, 0.7, [1.0], v), 1000),
+    "breslow_limit-seed": (lambda v: breslow_limit(0.5, 1.0, 0.5, 0.7, [1.0], 1000, seed=v), 1),
+    "breslow_limit-window": (lambda v: breslow_limit(0.5, 1.0, 0.5, 0.7, [1.0], 1000, window=v), 100),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_AND_SEED_CALLS))
+def test_counts_and_seeds_take_one_rule(name):
+    # the rule of ScenarioSpec.sizes: an integral float is its int, a
+    # fraction or a bool is a ValueError
+    call, good = _COUNT_AND_SEED_CALLS[name]
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    got, want = call(float(good)), call(good)
+    assert data_module._fields_equal(got, want) if is_dataclass(want) else got == want
 
 
 class TestCensorAdministrative:

@@ -23,6 +23,7 @@ from hrmix import (
     TrialAggregate,
     c_hm_binary,
     fit_cox,
+    kl_gradient,
     kl_objective,
     linear_hr,
     linear_log_hr,
@@ -277,6 +278,31 @@ def test_support_spanning_fewer_than_k_dimensions_rejected():
     for solve in (solve_theta_pl_general, solve_theta_hm_general):
         with pytest.raises(SingularMatrixError):
             solve(K2_ALPHA, K2_BETA, 0.6, line)
+
+
+@pytest.mark.parametrize("log_hr", [20.0, 200.0, 300.0, 600.0, -100.0, -300.0, -600.0])
+def test_far_effect_against_binary_limits(log_hr, bernoulli_half):
+    # Newton from the weighted mean of a far effect and 0.1 leaves the basin;
+    # the retry from the effect of lower objective reaches the root.  The
+    # score is solved to 1e-12 and has slope q = 0.5 at the harmonic mean.
+    a, b = math.exp(log_hr), math.exp(0.1)
+    theta_pl = solve_theta_pl_general([log_hr], [0.1], 0.5, bernoulli_half)[0]
+    assert theta_pl == pytest.approx(math.log(solve_cpl_binary(a, b, 0.5, 0.5)), abs=1e-12)
+    theta_hm = solve_theta_hm_general([log_hr], [0.1], 0.5, bernoulli_half)[0]
+    assert theta_hm == pytest.approx(math.log(c_hm_binary(a, b, 0.5)), abs=2e-12 / 0.5)
+
+
+@pytest.mark.parametrize("log_hr", [-100.0, -300.0])
+def test_far_effect_on_k2_law(log_hr):
+    # from the weighted mean, one support point's e^{theta'z} swamps the
+    # Hessian, so a Newton step is singular or never lands; the retry
+    # converges.  Past |log-HR| 60 the pooled limit no longer moves.
+    alpha, beta = [log_hr, log_hr], [0.1, 0.1]
+    theta_hm = solve_theta_hm_general(alpha, beta, 0.5, K2_DIST)
+    assert np.max(np.abs(kl_gradient(theta_hm, alpha, beta, 0.5, K2_DIST))) <= 1e-12
+    theta_pl = solve_theta_pl_general(alpha, beta, 0.5, K2_DIST)
+    saturated = solve_theta_pl_general([math.copysign(60.0, log_hr)] * 2, beta, 0.5, K2_DIST)
+    np.testing.assert_allclose(theta_pl, saturated, rtol=0, atol=1e-12)
 
 
 class TestSolveThetaPlGeneral:
@@ -623,7 +649,7 @@ class TestTrialAxis:
         "estimate, solve",
         [
             (theta_m_estimate, lambda *args: estimators._pl_root(*args)[0]),
-            (theta_hm_estimate, estimators._hm_root),
+            (theta_hm_estimate, lambda *args: estimators._hm_root(*args)[0]),
         ],
         ids=["misspecified", "harmonic-mean"],
     )
