@@ -26,7 +26,13 @@ from .data import (
     replicate_stream,
 )
 from .errors import HrmixError
-from .estimators import _binary_definitions, _pl_root, _pooled_limit_binary, _size_shares
+from .estimators import (
+    _binary_definitions,
+    _pl_root,
+    _pooled_limit_binary,
+    _size_shares,
+    _validate_binary_args,
+)
 
 __all__ = [
     "OrderingReport",
@@ -491,8 +497,15 @@ class BreslowComparison:
 
         Returns (bin_centers, empirical_means, analytic_means) where the
         analytic means average the limit curve over the same block
-        midpoints, so both sides estimate the identical functional.
+        midpoints, so both sides estimate the identical functional.  The
+        range must be finite with t_lo < t_hi and ``n_bins`` an integer of
+        at least 1; anything else raises ValueError.
         """
+        if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
+            raise ValueError("binned needs finite t_lo < t_hi")
+        n_bins = _integer(n_bins, "n_bins")
+        if n_bins < 1:
+            raise ValueError("n_bins must be at least 1")
         edges = np.linspace(t_lo, t_hi, n_bins + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         emp = np.full(n_bins, np.nan)
@@ -543,16 +556,23 @@ def breslow_limit(
     allocation (q = 0.5).  The empirical side simulates the four
     exponential groups, fits the pooled model, and smooths the baseline
     increments over ``window``-event blocks before forming hazard ratios
-    against the unit-hazard reference.  It needs at least 4 subjects, one
-    per group, and at least one full block of event times.  The counts and
-    the seed must be integers, as for :class:`ScenarioSpec`.
+    against the unit-hazard reference.  It needs a and b positive and
+    finite, p in (0, 1), ``c_star`` positive and finite, a finite,
+    nonnegative ``t_grid``, at least 4 subjects, one per group, and at
+    least one full block of event times; anything else raises ValueError.
+    The counts and the seed must be integers, as for :class:`ScenarioSpec`.
     """
+    _validate_binary_args(a, b, p)
+    if not (np.isfinite(c_star) and c_star > 0):
+        raise ValueError("c_star must be positive and finite")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
+        raise ValueError("t_grid must be finite and nonnegative")
     n_subjects, window = _integer(n_subjects, "n_subjects"), _integer(window, "window")
     if n_subjects < 4:
         raise ValueError("n_subjects must be at least 4, one per group")
     if window < 1:
         raise ValueError("window must be at least 1 event")
-    t_grid = np.asarray(t_grid, dtype=float)
     pooled = _example4_pool(a, b, p, n_subjects, seed)
     # one sort serves the fit and the curve
     order = _descending(pooled)

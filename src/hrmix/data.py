@@ -226,8 +226,8 @@ class ExponentialCensoring:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not (np.isfinite(self.rate) and self.rate > 0):
+            raise ValueError("rate must be positive and finite")
 
     def _draw(self, size: int, rng: np.random.Generator):
         return rng.exponential(scale=1.0 / self.rate, size=size)
@@ -252,8 +252,8 @@ class WeibullBaseline:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("shape and scale must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.shape, self.scale)):
+            raise ValueError("shape and scale must be positive and finite")
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.scale * np.power(u, 1.0 / self.shape)

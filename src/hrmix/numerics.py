@@ -88,38 +88,18 @@ _WG = np.array(
 )
 
 
-def _armijo(objective: Callable, x, value, grad, norm, step):
-    """Backtrack along ``step`` from x; return (point, its objective, its gradient max-norm) or None.
-
-    A step is halved, up to 40 times, until the value falls by 1e-4 of the
-    decrease the gradient predicts, or, since near the minimum that
-    decrease is below the value's rounding, until the gradient's max-norm
-    falls with the value within 1e-13 * (1 + |value|).
-    """
-    drop, flat = 1e-4 * (grad @ step), 1e-13 * (1 + abs(value))
-    for halving in range(40):
-        damp = 0.5**halving
-        moved = x + damp * step
-        trial = objective(moved)
-        t_norm = np.max(np.abs(trial[1]))
-        if np.isfinite(trial[0] + t_norm) and (
-            trial[0] <= value + damp * drop or (t_norm < norm and abs(trial[0] - value) <= flat)
-        ):
-            return moved, trial, t_norm
-    return None
-
-
 def _newton_min(objective: Callable, x0, tol: float) -> np.ndarray:
     """Minimise a strictly convex function by Newton with Armijo backtracking.
 
     ``objective(x)`` returns the value, the gradient (n,) and the Hessian
-    (n, n).  Each Newton step is backtracked by :func:`_armijo` (Nocedal &
-    Wright 2006, ch. 3).  Where the Hessian is nearly singular, the Newton
-    step can be too long for any of its halvings to lower the value; the
-    steepest-descent step -gradient, backtracked the same way, is taken
-    instead.  Returns once the gradient's max-norm is at most ``tol``; a
-    non-finite start, a failed line search or 60 steps raise
-    NonConvergenceError.
+    (n, n).  Each Newton step is halved, up to 40 times, until the value
+    falls by 1e-4 of the decrease the gradient predicts, or, since near the
+    minimum that decrease is below the value's rounding, until the
+    gradient's max-norm falls with the value within 1e-13 * (1 + |value|)
+    (Nocedal & Wright 2006, ch. 3).  Returns once the gradient's max-norm
+    is at most ``tol``.  A non-finite start, a step that no halving
+    accepts, or 60 steps raise NonConvergenceError, so a run that has left
+    the basin ends at once and the caller's restart is the only fallback.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     # a step that overflows the objective is rejected like any other
@@ -132,12 +112,20 @@ def _newton_min(objective: Callable, x0, tol: float) -> np.ndarray:
             if norm <= tol:
                 return x
             step = solve_linear(hess, -grad)
-            found = _armijo(objective, x, value, grad, norm, step)
-            if found is None:
-                found = _armijo(objective, x, value, grad, norm, -grad)
-            if found is None:
+            drop, flat = 1e-4 * (grad @ step), 1e-13 * (1 + abs(value))
+            for halving in range(40):
+                damp = 0.5**halving
+                moved = x + damp * step
+                trial = objective(moved)
+                t_norm = np.max(np.abs(trial[1]))
+                if np.isfinite(trial[0] + t_norm) and (
+                    trial[0] <= value + damp * drop
+                    or (t_norm < norm and abs(trial[0] - value) <= flat)
+                ):
+                    break
+            else:
                 raise NonConvergenceError(f"line search failed at gradient norm {norm:.3e}")
-            x, (value, grad, hess), norm = found
+            x, (value, grad, hess), norm = moved, trial, t_norm
     if norm <= tol:
         return x
     raise NonConvergenceError(f"gradient norm {norm:.3e} above {tol:.1e} after 60 Newton steps")

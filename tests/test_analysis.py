@@ -319,6 +319,48 @@ class TestBreslowLimit:
         np.testing.assert_allclose(emp, ana, rtol=0.12)
         assert comparison.fitted_c == pytest.approx(c_star, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"p": 1.5}, "p must lie in"),
+            ({"p": 0.0}, "p must lie in"),
+            ({"a": -1.0}, "hazard ratios must be positive and finite"),
+            ({"a": math.inf}, "hazard ratios must be positive and finite"),
+            ({"b": math.nan}, "hazard ratios must be positive and finite"),
+            ({"c_star": math.nan}, "c_star must be positive and finite"),
+            ({"c_star": -1.0}, "c_star must be positive and finite"),
+            ({"c_star": math.inf}, "c_star must be positive and finite"),
+            ({"t_grid": [math.nan]}, "t_grid must be finite and nonnegative"),
+            ({"t_grid": [0.0, math.inf]}, "t_grid must be finite and nonnegative"),
+            ({"t_grid": [-1.0, 1.0]}, "t_grid must be finite and nonnegative"),
+        ],
+    )
+    def test_out_of_domain_input_rejected(self, kwargs, error):
+        # the library checks what the CLI checks: p = 1.5 would draw 750/750/1/1
+        # subjects, a NaN c_star or time give NaN curves, a = -1 raise numpy's "scale < 0"
+        args = {"a": 0.5, "b": 1.0, "p": 0.5, "c_star": 0.7, "t_grid": [0.0, 1.0]} | kwargs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=error):
+                breslow_limit(**args, n_subjects=1000)
+
+    @pytest.mark.parametrize(
+        "bins, error",
+        [
+            ((1.0, 0.0, 3), "finite t_lo < t_hi"),
+            ((1.0, 1.0, 3), "finite t_lo < t_hi"),
+            ((0.0, math.inf, 3), "finite t_lo < t_hi"),
+            ((math.nan, 1.0, 3), "finite t_lo < t_hi"),
+            ((0.0, 1.0, 0), "n_bins must be at least 1"),
+            ((0.0, 1.0, 2.5), "n_bins must be an integer"),
+        ],
+    )
+    def test_binned_rejects_bad_bins(self, bins, error):
+        # (1, 0, 3) would give descending bins and (0, 1, 0) empty arrays
+        comparison = breslow_limit(0.5, 1.0, 0.5, 0.7, [0.0, 1.0], n_subjects=1000, window=50)
+        with pytest.raises(ValueError, match=error):
+            comparison.binned(*bins)
+
 
 class TestKlObjective:
     def test_gradient_zero_at_harmonic_mean(self, bernoulli_half):

@@ -745,6 +745,28 @@ class TestSimulateAndSweep:
         if "t_max" in value:
             assert np.all(np.where(events == 1, times < 3.0, times == 3.0))
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("baseline", {"kind": "weibull", "shape": math.inf}, "shape and scale"),
+            ("baseline", {"kind": "weibull", "shape": 2.0, "scale": math.inf}, "shape and scale"),
+            ("censoring", {"kind": "exponential", "rate": math.inf}, "rate"),
+        ],
+        ids=["weibull-shape", "weibull-scale", "exponential-rate"],
+    )
+    def test_infinite_simulator_parameter_exits_2(
+        self, capsys, tmp_path, example3_scenario, field, value, error
+    ):
+        # json writes and reads math.inf as Infinity
+        config = scenario_to_json(example3_scenario) | {field: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        message = f"hrmix: input error: {error} must be positive and finite\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["baseline", "censoring"])
     def test_unknown_scenario_kind_exits_2(self, capsys, tmp_path, example3_scenario, field):
         config = scenario_to_json(example3_scenario)

@@ -129,6 +129,20 @@ class TestSimulateTrial:
         se = data.times.std(ddof=1) / math.sqrt(len(data))
         assert abs(data.times.mean() - math.gamma(1.5)) <= 3 * se
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: WeibullBaseline(shape=v),
+            lambda v: WeibullBaseline(shape=2.0, scale=v),
+            lambda v: ExponentialCensoring(rate=v),
+        ],
+        ids=["weibull-shape", "weibull-scale", "exponential-rate"],
+    )
+    def test_infinite_simulator_parameter_rejected(self, make):
+        # an infinite shape would make every time equal to scale, an infinite rate every time 0
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make(math.inf)
+
     def test_determinism_and_stream_independence(self, example3_scenario):
         a = pool(simulate_scenario(example3_scenario, replicate=5))
         b = pool(simulate_scenario(example3_scenario, replicate=5))

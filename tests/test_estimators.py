@@ -241,9 +241,10 @@ def test_random_k2_laws():
 
 
 def test_k3_law_where_a_newton_step_overshoots():
-    # the first full Newton step lowers Phi but lands where the Hessian's
-    # condition number is 5e13; no halving of the next Newton step lowers
-    # Phi, so a steepest-descent step is taken (draw 248 of the k = 3 laws
+    # from the weighted mean, the first full Newton step lowers Phi but lands
+    # where the Hessian's condition number is 5e13; no halving of the next
+    # Newton step lowers Phi, so that run fails there and the restart from
+    # the effect of lower objective converges (draw 248 of the k = 3 laws
     # drawn like test_random_k2_laws from np.random.default_rng(7))
     support = [
         [0.008167985304756709, -0.8381689167231139, 1.6970717152822443],
@@ -292,7 +293,7 @@ def test_far_effect_against_binary_limits(log_hr, bernoulli_half):
     assert theta_hm == pytest.approx(math.log(c_hm_binary(a, b, 0.5)), abs=2e-12 / 0.5)
 
 
-@pytest.mark.parametrize("log_hr", [-100.0, -300.0])
+@pytest.mark.parametrize("log_hr", [200.0, 300.0, -100.0, -200.0, -300.0])
 def test_far_effect_on_k2_law(log_hr):
     # from the weighted mean, one support point's e^{theta'z} swamps the
     # Hessian, so a Newton step is singular or never lands; the retry
@@ -303,6 +304,30 @@ def test_far_effect_on_k2_law(log_hr):
     theta_pl = solve_theta_pl_general(alpha, beta, 0.5, K2_DIST)
     saturated = solve_theta_pl_general([math.copysign(60.0, log_hr)] * 2, beta, 0.5, K2_DIST)
     np.testing.assert_allclose(theta_pl, saturated, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("log_hr, k2", [(600.0, False), (300.0, True)], ids=["bernoulli", "k2"])
+def test_failed_run_ends_at_once(monkeypatch, bernoulli_half, log_hr, k2):
+    # a Newton step from the weighted mean that no halving accepts ends that
+    # run at once, so the restart begins after a handful of evaluations
+    dist = K2_DIST if k2 else bernoulli_half
+    alpha, beta = [log_hr] * dist.k, [0.1] * dist.k
+    calls = 0
+    pl_equation = estimators._pl_equation
+
+    def counted(*args):
+        equation = pl_equation(*args)
+
+        def count(*a, **kw):
+            nonlocal calls
+            calls += 1
+            return equation(*a, **kw)
+
+        return count
+
+    monkeypatch.setattr(estimators, "_pl_equation", counted)
+    assert np.all(np.isfinite(solve_theta_pl_general(alpha, beta, 0.5, dist)))
+    assert calls <= 60
 
 
 class TestSolveThetaPlGeneral:
