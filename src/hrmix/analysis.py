@@ -18,6 +18,7 @@ import numpy as np
 from .cox import _breslow_ordered, _CountTables, _descending, _fit_ordered, fit_cox_rows
 from .data import (
     CovariateDistribution,
+    NoCensoring,
     ScenarioSpec,
     TrialDataset,
     _draw_latent,
@@ -150,12 +151,14 @@ class SweepResult:
                 raise ValueError("percentiles must bracket the mean")
 
 
-# Replicates fitted together.  Results do not depend on it (each row fits
-# to the same bits in any batch); it trades interpreter overhead against
-# the size of the count tables, which hold every study end's event blocks.
-# On the Example-3 sweep (200 replicates x 6 study ends), 6 keeps peak RSS
-# about 1 MB above the per-study-end running-sum fits that the tables
-# replaced; 8 runs about 10% faster and adds another 0.8 MB.
+# Replicates fitted together, in one Newton solve over the pooled data and
+# every trial.  Results do not depend on it (each row fits to the same bits
+# in any batch); it trades interpreter overhead against the size of the
+# count tables, which hold every dataset's and study end's event blocks.
+# On the Example-3 sweep (200 replicates x 6 study ends, 2 vCPUs), 6 makes
+# 34 solves where one solve per dataset made 102, for about 10% less
+# benchmark wall time and 0.6 MB more peak RSS; 12 was about 10% faster
+# again in-process and added another 1.7 MB.
 _SWEEP_CHUNK = 6
 
 # Count tables serve laws of at most this many support points per
@@ -203,29 +206,35 @@ def bias_sweep(scenario: ScenarioSpec, t_max_grid, replicates: int) -> SweepResu
 
     Each replicate draws latent (uncensored) datasets once on its own
     stream, then re-censors them administratively at every grid value
-    (math.inf means no censoring; the scenario's own censoring field is
-    ignored here).  Per grid point the pooled fit and the per-trial-fit
-    plug-in are recomputed; component 0 of each estimate (the arm
-    indicator) is summarized.  Two or more trials are pooled, and the
-    plug-in weights each trial by its share of the subjects.
+    (math.inf means no censoring).  The study ends are the only censoring: a
+    scenario whose ``censoring`` is not :class:`NoCensoring` raises
+    ValueError rather than be silently ignored.  Per grid point the pooled
+    fit and the per-trial-fit plug-in are recomputed; component 0 of each
+    estimate (the arm indicator) is summarized.  Two or more trials are
+    pooled, and the plug-in weights each trial by its share of the subjects.
 
-    Replicates are fitted in chunks, one Newton solve per chunk and
-    dataset (the pooled data, then each trial) whose rows are replicate x
-    study end.  The simulator's covariate law is tabulated, so each
-    risk-set sum is read off count tables: the at-risk count of every
-    support point times e^{beta'z} z^r, an O(m) sum over the m support
-    points.  Censoring at t_max only caps the largest times, so the tables
-    come from the one latent descending-time order of the chunk and every
-    study end reads a suffix of its event blocks.  A law with more than
+    Replicates are fitted in chunks, one Newton solve per chunk whose rows
+    are dataset (the pooled data, then each trial) x study end x replicate.
+    The simulator's covariate law is tabulated, so each risk-set sum is read
+    off count tables: the at-risk count of every support point, an int32,
+    times e^{beta'z} z^r, an O(m) sum over the m support points.  Censoring at
+    t_max only caps the largest times, so the tables come from the one
+    latent descending-time order of the chunk and every study end reads a
+    suffix of its event blocks.  A law with more than
     ``_TABLE_LEVELS_PER_COVARIATE`` points per covariate is fitted by
     running sums over the subjects instead (:func:`fit_cox_rows`, every
-    study end in one call).  The binary plug-in is one batched solve of
-    the binary limit over every cell whose fits succeeded, and a general
-    law takes one Newton solve per cell; a cell that its solve cannot
-    certify counts as failed.  A NaN study end is rejected.
+    study end of a dataset in one call).  The binary plug-in is one batched
+    solve of the binary limit over every cell whose fits succeeded, and a
+    general law takes one Newton solve per cell; a cell that its solve
+    cannot certify counts as failed.  A NaN study end is rejected.
     Replicate streams depend only on (seed, replicate) and no row's fit
     depends on its chunk, so results do not depend on the chunk size.
     """
+    if not isinstance(scenario.censoring, NoCensoring):
+        raise ValueError(
+            "the sweep censors only at its study ends, so the scenario's censoring "
+            f"must be none, not {scenario.censoring}"
+        )
     replicates = _integer(replicates, "replicates")
     if replicates < 100:
         raise ValueError("need at least 100 replicates for stable percentiles")
@@ -273,8 +282,11 @@ def _sweep_fits(scenario, grid, replicates):
     Returns component 0 of the pooled fit and the censored fraction, as
     (replicates, study ends) arrays, and the per-trial log hazard ratios
     of the cells whose pooled and trial fits all succeeded, as (trials,
-    replicates, study ends, k); failed cells hold NaN.  The count tables
-    are freed on return, before the plug-in solve.
+    replicates, study ends, k); failed cells hold NaN.  Each chunk's
+    datasets are fitted by one call, which on the (int32) count tables is
+    one Newton solve over every dataset and on running sums one solve per
+    dataset.  The count tables are freed on return, before the plug-in
+    solve.
     """
     shape = (replicates, grid.size)
     theta_pl = np.full(shape, np.nan)
@@ -294,7 +306,7 @@ def _sweep_fits(scenario, grid, replicates):
     for start in range(0, replicates, _SWEEP_CHUNK):
         chunk = slice(start, min(start + _SWEEP_CHUNK, replicates))
         latent = _sorted_latent(scenario, range(chunk.start, chunk.stop))
-        pooled, *trials = (fit(times, levels) for times, levels in latent)
+        pooled, *trials = fit(latent)
         frac[chunk] = 1.0 - by_cell(pooled.n_events) / latent[0][0].shape[1]
         theta_pl[chunk] = by_cell(np.where(pooled.ok, pooled.beta_hat[:, 0], np.nan))
         fitted = np.logical_and.reduce([pooled.ok] + [t.ok for t in trials])[:, None]
@@ -303,20 +315,27 @@ def _sweep_fits(scenario, grid, replicates):
     return theta_pl, frac, effects
 
 
-def _capped_rows(times, levels, support, grid):
-    """:func:`fit_cox_rows` on every latent row censored at every study end.
+def _capped_rows(latent, support, grid):
+    """:func:`fit_cox_rows` on every latent row of each dataset censored at
+    every study end, one call per dataset.
 
-    Rows are laid out as in the count-table fit: fitted row g * R + r is
-    row r censored at ``grid[g]``.
+    Each dataset's rows are laid out as in the count-table fit: fitted row
+    g * R + r is row r censored at ``grid[g]``.
     """
-    n, k = times.shape[1], support.shape[1]
+    k = support.shape[1]
     ends = grid[:, None, None]
-    covariates = np.broadcast_to(support[levels], (grid.size,) + levels.shape + (k,))
-    return fit_cox_rows(
-        np.minimum(times, ends).reshape(-1, n),
-        (times <= ends).reshape(-1, n),
-        covariates.reshape(-1, n, k),
-    )
+    fits = []
+    for times, levels in latent:
+        n = times.shape[1]
+        covariates = np.broadcast_to(support[levels], (grid.size,) + levels.shape + (k,))
+        fits.append(
+            fit_cox_rows(
+                np.minimum(times, ends).reshape(-1, n),
+                (times <= ends).reshape(-1, n),
+                covariates.reshape(-1, n, k),
+            )
+        )
+    return fits
 
 
 def _sweep_plugin(effects, weights, dist):
@@ -439,6 +458,21 @@ def figure2_grid(
 # ---------------------------------------------------------------------------
 
 
+def _check_limit_args(a, b, p, c_star) -> None:
+    """ValueError unless a and b are positive and finite, p lies in (0, 1)
+    and ``c_star`` is positive and finite."""
+    _validate_binary_args(a, b, p)
+    if not (np.isfinite(c_star) and c_star > 0):
+        raise ValueError("c_star must be positive and finite")
+
+
+def _times(t, name: str) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return t
+
+
 def breslow_limit_hazard(t, a: float, b: float, p: float, c_star: float):
     """Limiting baseline hazard of the pooled fit as a function of time.
 
@@ -447,8 +481,13 @@ def breslow_limit_hazard(t, a: float, b: float, p: float, c_star: float):
 
         [p a e^-at + (1-p) b e^-bt + e^-t]
         / [(p e^-at + (1-p) e^-bt) c_star + e^-t].
+
+    It needs a and b positive and finite, p in (0, 1), ``c_star``
+    positive and finite and ``t`` finite and nonnegative; anything else
+    raises ValueError, as for the two limits below.
     """
-    t = np.asarray(t, dtype=float)
+    _check_limit_args(a, b, p, c_star)
+    t = _times(t, "t")
     ea = np.exp(-a * t)
     eb = np.exp(-b * t)
     e1 = np.exp(-t)
@@ -456,10 +495,12 @@ def breslow_limit_hazard(t, a: float, b: float, p: float, c_star: float):
 
 
 def breslow_limit_at_zero(a: float, b: float, p: float, c_star: float) -> float:
+    _check_limit_args(a, b, p, c_star)
     return (p * a + (1 - p) * b + 1.0) / (c_star + 1.0)
 
 
 def breslow_limit_at_infinity(a: float, b: float, p: float, c_star: float) -> float:
+    _check_limit_args(a, b, p, c_star)
     # the slowest-decaying treated group dominates the tail
     return min(a, b) / c_star
 
@@ -562,12 +603,8 @@ def breslow_limit(
     least one full block of event times; anything else raises ValueError.
     The counts and the seed must be integers, as for :class:`ScenarioSpec`.
     """
-    _validate_binary_args(a, b, p)
-    if not (np.isfinite(c_star) and c_star > 0):
-        raise ValueError("c_star must be positive and finite")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
-        raise ValueError("t_grid must be finite and nonnegative")
+    _check_limit_args(a, b, p, c_star)
+    t_grid = _times(t_grid, "t_grid")
     n_subjects, window = _integer(n_subjects, "n_subjects"), _integer(window, "window")
     if n_subjects < 4:
         raise ValueError("n_subjects must be at least 4, one per group")
@@ -608,6 +645,22 @@ def breslow_limit(
 # ---------------------------------------------------------------------------
 
 
+def _kl_terms(theta, alpha, beta, p, dist):
+    """theta'z and e^{theta'z} E[H0(T) | Z = z] at each support point z."""
+    if not 0 < p < 1:
+        raise ValueError("p must lie in (0, 1)")
+    theta, alpha, beta = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (theta, alpha, beta))
+    z = dist.support
+    mix = p * np.exp(-z @ alpha) + (1 - p) * np.exp(-z @ beta)
+    return z @ theta, np.exp(z @ theta) * mix
+
+
+def _finite(value, name: str):
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} is not finite: an input is not, or an exponent overflows")
+    return value
+
+
 def kl_objective(theta, alpha, beta, p: float, dist: CovariateDistribution) -> float:
     """Expected working-model log likelihood, up to theta-free terms.
 
@@ -618,27 +671,25 @@ def kl_objective(theta, alpha, beta, p: float, dist: CovariateDistribution) -> f
 
     Maximizing it is the same as minimizing the Kullback-Leibler distance
     from the true mixture to the working model, and the maximizer is the
-    harmonic-mean combined effect.
+    harmonic-mean combined effect.  It needs p in (0, 1); a sum that is
+    not finite (an exponent that overflows, a non-finite input) raises
+    ValueError.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    z = dist.support
-    pi = dist.probs
-    mix = p * np.exp(-z @ alpha) + (1 - p) * np.exp(-z @ beta)
-    return float(pi @ (z @ theta - np.exp(z @ theta) * mix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        linear, scaled = _kl_terms(theta, alpha, beta, p, dist)
+        return _finite(float(dist.probs @ (linear - scaled)), "the KL objective")
 
 
 def kl_gradient(theta, alpha, beta, p: float, dist: CovariateDistribution) -> np.ndarray:
-    """Gradient of :func:`kl_objective`; zero exactly at the harmonic-mean effect."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    z = dist.support
-    pi = dist.probs
-    mix = p * np.exp(-z @ alpha) + (1 - p) * np.exp(-z @ beta)
-    w = pi * (1.0 - np.exp(z @ theta) * mix)
-    return w @ z
+    """Gradient of :func:`kl_objective`; zero exactly at the harmonic-mean effect.
+
+    Its domain is the objective's, and a gradient that is not finite
+    raises ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, scaled = _kl_terms(theta, alpha, beta, p, dist)
+        w = dist.probs * (1.0 - scaled)
+        return _finite(w @ dist.support, "the KL gradient")
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ contiguous (:class:`_BlockSums`), and come from one of two sources:
   a study end changes no risk set at an earlier event, so the tables of
   one latent descending-time order serve every study end: each reads the
   suffix of event blocks up to its end.  One solve fits a chunk of
-  replicates at every study end.  The sweep takes this path only for
-  laws of a few points per covariate, where O(m) beats a running sum.
+  replicates at every study end, for the pooled data and every trial at
+  once: each dataset's blocks take their own column range of one layout.
+  The at-risk and event counts are int32.  The sweep takes this path
+  only for laws of a few points per covariate, where O(m) beats a
+  running sum.
 """
 
 from __future__ import annotations
@@ -258,36 +261,117 @@ class _RiskSets(_BlockSums):
         return self.risk_sums(w, out=s0), s1, s2, tmp
 
 
-class _CountTables(_BlockSums):
+class _CountTables:
     """Risk sets of uncensored data on a finite covariate support, capped at
     every study end, as at-risk counts per support point.
 
-    :meth:`fit` takes R latent datasets: row r holds event times in
-    descending order and each subject's support level.  Fitted row
-    g * R + r is row r censored at ``study_ends[g]``.  Capping times at
-    t_max changes no risk set at an event before t_max, so every study end
-    reads the tie blocks of the one latent order: the blocks with time <=
-    t_max, which in that order are a suffix.  ``counts[s, b]`` is the
-    number of subjects at level s at risk at the end of block b, so a
-    risk-set sum is the O(m) sum sum_s counts[s, b] e^{beta' z_s} z_s^r
-    over the m support points, not a running sum over every subject.
-    ``counts`` follows the block layout of ``d``.  The tables and the work
-    rows of an evaluation live in one buffer that every :meth:`fit`
-    reuses, so a sweep touches fresh memory only once.
+    :meth:`fit` takes D latent datasets of R rows each (a sweep chunk's
+    pooled data, then each trial): row r of a dataset holds event times in
+    descending order and each subject's support level.  Fitted rows run
+    dataset, then study end, then latent row: row (i * G + g) * R + r is
+    row r of dataset i censored at ``study_ends[g]``, and one Newton solve
+    fits them all.  Capping times at t_max changes no risk set at an event
+    before t_max, so every study end reads the tie blocks of the one
+    latent order: the blocks with time <= t_max, which in that order are a
+    suffix.  ``counts[s, b]`` is the number of subjects at level s at risk
+    at the end of block b, so a risk-set sum is the O(m) sum
+    sum_s counts[s, b] e^{beta' z_s} z_s^r over the m support points, not
+    a running sum over every subject.
+
+    The counts and the event count d of every block are int32, which numpy
+    converts to float64 exactly in every product; a count could overflow
+    only with 2^31 subjects in a row, whose latent draw alone would need
+    16 GB.  They share one block layout, each dataset's blocks in its own
+    column range.  A likelihood evaluation reads it in two halves, the
+    first dataset and then the others (the pooled data and then its
+    trials, as wide as it together), so that the float64 sums and work
+    rows need only the wider half's width.  The tables and the work rows
+    live in one buffer that every :meth:`fit` reuses, so a sweep touches
+    fresh memory only once.
     """
 
     def __init__(self, support: np.ndarray, study_ends):
         self.support = support
         self.k = support.shape[1]
         self.study_ends = np.asarray(study_ends, dtype=float)
-        self._buffer = np.empty(0)
+        self._tables = np.empty((0, 0), dtype=np.int32)
+        self._work = np.empty((0, 0))
 
-    def fit(self, times, levels) -> CoxRows:
-        """Fit every latent row of (times, levels) at every study end."""
-        self._load(times, levels)
-        return _newton(self)
+    def fit(self, latent) -> list[CoxRows]:
+        """Fit every dataset of ``latent``, a list of (times, levels) pairs,
+        at every study end in one Newton solve; one :class:`CoxRows` per dataset."""
+        self._load(latent)
+        rows = _newton(self)
+        size = self.n_rows // len(latent)
+        return [
+            CoxRows(**{name: v[i * size : (i + 1) * size] for name, v in vars(rows).items()})
+            for i in range(len(latent))
+        ]
 
-    def _load(self, times: np.ndarray, levels: np.ndarray) -> None:
+    def _load(self, latent) -> None:
+        halves = [half for half in (latent[:1], latent[1:]) if half]
+        # room for one block per subject: later fits of no more rows and
+        # subjects reuse the buffer, and its unused tail is never touched
+        widths = [self.study_ends.size * sum(times.size for times, _ in h) for h in halves]
+        m, k = len(self.support), self.k
+        if self._tables.shape[1] < sum(widths) or self._work.shape[1] < max(widths):
+            # rows: S0, S1_j, S2_jm and one work row, then, viewed as
+            # int32, the counts per level and d
+            rows, width = 2 + k + k * (k + 1) // 2, max(widths)
+            buffer = np.empty(rows * width + ((m + 1) * sum(widths) + 1) // 2)
+            self._work = buffer[: rows * width].reshape(rows, width)
+            ints = buffer[rows * width :].view(np.int32)[: (m + 1) * sum(widths)]
+            self._tables = ints.reshape(m + 1, sum(widths))
+        self._halves, start = [], 0
+        for half, width in zip(halves, widths):
+            tables = self._tables[:, start : start + width]
+            self._halves.append(
+                _TableBlocks(self.support, self.study_ends, half, tables, self._work)
+            )
+            start += width
+        for name in ("n_events", "no_contrast", "short_rank"):
+            setattr(self, name, np.concatenate([getattr(h, name) for h in self._halves]))
+        self.n_rows = self.n_events.size
+
+    def loglik_score_info(self, beta: np.ndarray):
+        """:meth:`_BlockSums.loglik_score_info` of each half in turn, rows in order."""
+        parts, start = [], 0
+        for half in self._halves:
+            parts.append(half.loglik_score_info(beta[start : start + half.n_rows]))
+            start += half.n_rows
+        return tuple(np.concatenate(values) for values in zip(*parts))
+
+
+class _TableBlocks(_BlockSums):
+    """The count tables of a run of datasets in one block layout.
+
+    Loads each latent dataset of :class:`_CountTables` in turn into
+    ``tables`` (counts per level, then d), its fitted rows g * R + r
+    following the previous dataset's; ``work`` holds the float64 sums and
+    the work row of an evaluation.
+    """
+
+    def __init__(self, support, study_ends, latent, tables: np.ndarray, work: np.ndarray):
+        self.support = support
+        self.k = support.shape[1]
+        self.study_ends = study_ends
+        per_row, size = [], 0
+        for times, levels in latent:
+            per_row.append(self._load(times, levels, tables[:, size:]))
+            size += per_row[-1][-1].sum()
+        self.n_events, self.no_contrast, self.short_rank, self.z_event_sum, lengths = (
+            np.concatenate(values) for values in zip(*per_row)
+        )
+        m = len(support)
+        self.counts, self._scratch = tables[:m, :size], work[:, :size]
+        self._set_blocks(tables[m, :size], lengths)
+
+    def _load(self, times: np.ndarray, levels: np.ndarray, tables: np.ndarray):
+        """Write one dataset's counts and d from the first column of ``tables``.
+
+        Returns its per-row n_events, no_contrast, short_rank, z_event_sum
+        and number of event blocks, each fitted row g * R + r.
+        """
         R, n = times.shape
         m = len(self.support)
         G = self.study_ends.size
@@ -299,39 +383,33 @@ class _CountTables(_BlockSums):
             minlength=R * (G + 1) * m,
         ).reshape(R, G + 1, m)
         events = np.cumsum(tally[:, :G], axis=1).transpose(1, 0, 2).reshape(G * R, m)
-        self.n_events = events.sum(axis=1)
         present = tally.sum(axis=1) > 0  # all at risk at the earliest event
-        self.no_contrast = np.tile(present.sum(axis=1) <= 1, G)
         points = np.broadcast_to(self.support, (R, m, self.k))
-        self.short_rank = np.tile(_short_rank(points, present), G)
-        self.z_event_sum = np.zeros((G * R, self.k))
+        z_event_sum = np.zeros((G * R, self.k))
         for s in range(m):
-            self.z_event_sum += events[:, s, None] * self.support[s]
+            z_event_sum += events[:, s, None] * self.support[s]
         block_end = _block_ends(times)
         # every row ends a block, so differences of the flat positions are
         # block sizes even across rows; every latent subject is an event
-        block_d = np.diff(block_end, prepend=-1).astype(float)
+        block_d = np.diff(block_end, prepend=-1)
         block_rank = rank.ravel()[block_end]
         blocks = np.bincount(
             block_end // n * (G + 1) + block_rank, minlength=R * (G + 1)
         ).reshape(R, G + 1)
         lengths = np.cumsum(blocks[:, :G], axis=1).T.ravel()
-        # rows: counts per level, d, then S0, S1_j, S2_jm and one work row
-        size = lengths.sum()
-        rows = m + 3 + self.k + len(self._pairs)
-        if self._buffer.size < rows * size:
-            # room for one block per subject: later fits of no more rows and
-            # subjects reuse it, and the unused tail is never touched
-            self._buffer = np.empty(rows * G * R * n)
-        table = self._buffer[: rows * size].reshape(rows, size)
-        self.counts, self._scratch = table[:m], table[m + 1 :]
-        self._set_blocks(table[m], lengths)
         used = np.concatenate([np.flatnonzero(block_rank <= g) for g in range(G)])
-        np.take(block_d, used, out=self.d)
+        np.take(block_d, used, out=tables[m, : used.size])
         used_ends = block_end[used]
         for s in range(m):
-            at_risk = np.cumsum(levels == s, axis=1, dtype=float)
-            np.take(at_risk, used_ends, out=self.counts[s])
+            at_risk = np.cumsum(levels == s, axis=1, dtype=np.int32)
+            np.take(at_risk, used_ends, out=tables[s, : used.size])
+        return (
+            events.sum(axis=1),
+            np.tile(present.sum(axis=1) <= 1, G),
+            np.tile(_short_rank(points, present), G),
+            z_event_sum,
+            lengths,
+        )
 
     def risk_set_sums(self, beta: np.ndarray):
         k = self.k

@@ -267,11 +267,13 @@ class ScenarioSpec:
     """Full generative description of a multi-trial simulation.
 
     ``trial_effects`` holds one finite log hazard-ratio vector per trial,
-    ``sizes`` the per-trial subject counts (``mixing_p`` is the first
-    trial's share of them), and ``baseline`` the inverse cumulative hazard
-    used for inverse-transform sampling.  The sizes and the seed must be
-    integers; an integral float such as 400.0 is accepted, and a bool or a
-    fractional value raises ``ValueError``.
+    whose hazard ratio e^{beta'z} must be finite and positive at every
+    support point of the covariate law, ``sizes`` the per-trial subject
+    counts (``mixing_p`` is the first trial's share of them), and
+    ``baseline`` the inverse cumulative hazard used for inverse-transform
+    sampling.  The sizes and the seed must be integers; an integral float
+    such as 400.0 is accepted, and a bool or a fractional value raises
+    ``ValueError``.
     """
 
     trial_effects: tuple
@@ -298,6 +300,8 @@ class ScenarioSpec:
             raise DimensionMismatchError(
                 f"effect vectors must have dimension {k} to match the covariate law"
             )
+        for e in effects:
+            _check_rates(e, self.covariate_dist)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "trial_effects", effects)
@@ -325,6 +329,18 @@ def replicate_stream(master_seed: int, replicate: int) -> np.random.Generator:
     if not 0 <= replicate < 2**64:
         raise ValueError("replicate must be a 64-bit unsigned integer")
     return np.random.Generator(np.random.Philox(key=(replicate << 64) | master_seed))
+
+
+def _check_rates(effect: np.ndarray, dist: CovariateDistribution) -> None:
+    """ValueError unless the hazard ratio e^{effect'z} is finite and positive
+    at every support point, the rule the pooled limit applies too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = np.exp(dist.support @ effect)
+    if not np.all(np.isfinite(rates) & (rates > 0)):
+        raise ValueError(
+            f"e^{{beta'z}} over- or underflows on the covariate law's support "
+            f"at trial effect {effect.tolist()}"
+        )
 
 
 def _draw_latent(effect, size: int, dist: CovariateDistribution, baseline, rng):
@@ -355,7 +371,8 @@ def simulate_trial(
     inverse-transform sampling T = H0^{-1}(E / exp(effect' Z)) with E a
     unit exponential.  Draw order is fixed (covariates, event times,
     censoring times) so a given stream always produces the same dataset.
-    ``size`` must be an integer, as for :class:`ScenarioSpec`.
+    ``size`` must be an integer and e^{effect'z} finite and positive on
+    the law's support, as for :class:`ScenarioSpec`.
     """
     size = _integer(size, "size")
     if size < 1:
@@ -363,6 +380,7 @@ def simulate_trial(
     effect = np.atleast_1d(np.asarray(effect, dtype=float))
     if effect.shape != (dist.k,):
         raise DimensionMismatchError("effect dimension must match the covariate law")
+    _check_rates(effect, dist)
     rng = rng if rng is not None else np.random.default_rng()
     levels, latent = _draw_latent(effect, size, dist, baseline, rng)
     c = censoring._draw(size, rng)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrmix import (
+    AdministrativeCensoring,
     CovariateDistribution,
+    ExponentialCensoring,
     NonConvergenceError,
     ScenarioSpec,
     bias_sweep,
@@ -194,6 +196,17 @@ class TestBiasSweep:
             bias_sweep(example3_scenario, [-1.0, 2.0], replicates=100)
 
     @pytest.mark.parametrize(
+        "censoring",
+        [ExponentialCensoring(rate=0.7), AdministrativeCensoring(t_max=3.0)],
+        ids=["exponential", "administrative"],
+    )
+    def test_rejects_censoring_it_would_ignore(self, example3_scenario, censoring):
+        # the sweep draws latent times and censors only at its study ends
+        spec = replace(example3_scenario, censoring=censoring)
+        with pytest.raises(ValueError, match="scenario's censoring must be none"):
+            bias_sweep(spec, [1.0, math.inf], replicates=100)
+
+    @pytest.mark.parametrize(
         "law",
         [
             CovariateDistribution.bernoulli(0.5),
@@ -345,6 +358,25 @@ class TestBreslowLimit:
                 breslow_limit(**args, n_subjects=1000)
 
     @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: breslow_limit_hazard([0.0, 1.0], 0.5, 1.0, 1.5, math.nan), "p must lie in"),
+            (lambda: breslow_limit_hazard([0.0, 1.0], 0.5, 1.0, 0.5, math.nan), "c_star"),
+            (lambda: breslow_limit_hazard([0.0, math.inf], 0.5, 1.0, 0.5, 0.7), "t must be"),
+            (lambda: breslow_limit_hazard([-1.0], 0.5, 1.0, 0.5, 0.7), "t must be"),
+            (lambda: breslow_limit_at_zero(0.5, 1.0, 0.5, -1.0), "c_star"),
+            (lambda: breslow_limit_at_infinity(0.5, -1.0, 0.5, 1.0), "hazard ratios"),
+        ],
+        ids=["hazard-p", "hazard-c_star", "hazard-inf-t", "hazard-negative-t", "zero", "infinity"],
+    )
+    def test_limit_helpers_reject_out_of_domain_input(self, call, error):
+        # they returned [nan nan], raised ZeroDivisionError and returned -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=error):
+                call()
+
+    @pytest.mark.parametrize(
         "bins, error",
         [
             ((1.0, 0.0, 3), "finite t_lo < t_hi"),
@@ -380,6 +412,25 @@ class TestKlObjective:
         best = kl_objective(theta, alpha, beta, p, bernoulli_half)
         assert kl_objective(theta + 0.05, alpha, beta, p, bernoulli_half) < best
         assert kl_objective(theta - 0.05, alpha, beta, p, bernoulli_half) < best
+
+    @pytest.mark.parametrize("f", [kl_objective, kl_gradient])
+    @pytest.mark.parametrize(
+        "theta, p, error",
+        [
+            ([1e308], 0.5, "not finite"),
+            ([math.nan], 0.5, "not finite"),
+            ([0.1], 1.5, "p must lie in"),
+            ([0.1], 0.0, "p must lie in"),
+            ([0.1], math.nan, "p must lie in"),
+        ],
+        ids=["overflow", "nan-theta", "p-above-1", "p-zero", "p-nan"],
+    )
+    def test_out_of_domain_input_rejected(self, bernoulli_half, f, theta, p, error):
+        # theta = 1e308 let an overflow warning escape; p = 1.5 gave a value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=error):
+                f(theta, [-0.5], [0.2], p, bernoulli_half)
 
     def test_concave_along_line(self, bernoulli_half):
         alpha, beta, p = [math.log(0.3)], [math.log(0.8)], 0.7

@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -684,6 +685,38 @@ class TestSimulateAndSweep:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"hrmix: input error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("effect", [800.0, -800.0])
+    def test_simulate_rejects_overflowing_hazard_ratio(
+        self, capsys, tmp_path, example3_scenario, effect
+    ):
+        # +800 exited 0 with event times of 0 behind an overflow warning
+        config = scenario_to_json(example3_scenario)
+        config["trial_effects"][0] = [effect]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]
+            assert main(argv) == 2
+        assert "over- or underflows on the covariate law's support" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "censoring",
+        [{"kind": "exponential", "rate": 0.7}, {"kind": "administrative", "t_max": 3.0}],
+        ids=["exponential", "administrative"],
+    )
+    def test_sweep_rejects_scenario_censoring(self, capsys, tmp_path, example3_scenario, censoring):
+        # the sweep censors only at its study ends; it used to ignore this
+        # field and exit 0 with the uncensored CSV
+        config = scenario_to_json(example3_scenario) | {"censoring": censoring}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        argv = ["sweep", "--scenario", str(path), "--tmax-grid", "1,inf", "--replicates", "100"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "the scenario's censoring must be none" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("grid", ["nan,inf", "1,nan"])
     def test_sweep_rejects_non_positive_study_end(self, capsys, tmp_path, scenario_file, grid):

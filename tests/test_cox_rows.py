@@ -24,7 +24,7 @@ from hrmix import (
     solve_cpl_binary,
     solve_theta_pl_general,
 )
-from hrmix import analysis, estimators
+from hrmix import analysis, cox, estimators
 from hrmix.cox import _NO_EVENTS, _SINGULAR, _CountTables, _RiskSets
 
 from conftest import censor_administrative, naive_log_partial_likelihood, reference_fit_cox
@@ -239,7 +239,7 @@ STUDY_ENDS = [0.05, 0.3, 0.8, 2.0, math.inf]
 @pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 4), (2, 6)])
 def test_count_tables_match_fit_cox_rows(k, m):
     support, times, levels = _latent_levels(300 + 10 * k + m, 150, 8, m, k)
-    tables = _CountTables(support, STUDY_ENDS).fit(times, levels)
+    (tables,) = _CountTables(support, STUDY_ENDS).fit([(times, levels)])
     R = len(times)
     # the information is singular for every beta when the covariates of a
     # row span more than none but fewer than k dimensions; both fits say
@@ -273,9 +273,8 @@ def test_count_tables_match_fit_cox_rows(k, m):
 def test_sweep_tables_match_fit_cox_rows(scenario, grid, replicates, example3_scenario):
     scenario = example3_scenario if scenario == "example3" else TINY
     support = scenario.covariate_dist.support
-    count_tables = _CountTables(support, grid)
-    for times, levels in analysis._sorted_latent(scenario, range(replicates)):
-        tables = count_tables.fit(times, levels)
+    latent = analysis._sorted_latent(scenario, range(replicates))
+    for (times, levels), tables in zip(latent, _CountTables(support, grid).fit(latent)):
         for g, t_max in enumerate(grid):
             rows = fit_cox_rows(np.minimum(times, t_max), times <= t_max, support[levels])
             mine = slice(g * replicates, (g + 1) * replicates)
@@ -284,6 +283,44 @@ def test_sweep_tables_match_fit_cox_rows(scenario, grid, replicates, example3_sc
             np.testing.assert_allclose(
                 tables.beta_hat[mine][rows.ok], rows.beta_hat[rows.ok], rtol=0, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 4), (2, 6)])
+def test_datasets_fitted_together_equal_each_alone(k, m):
+    # a sweep chunk fits its pooled data and every trial in one solve, yet
+    # no row reads another: each dataset fits to the same bits alone
+    support, times, levels = _latent_levels(300 + 10 * k + m, 150, 8, m, k)
+    datasets = [(times, levels)] + [
+        (times[:, columns], levels[:, columns]) for columns in ([0, 2, 4, 5, 7], [1, 3, 6])
+    ]
+    tables = _CountTables(support, STUDY_ENDS)
+    together = tables.fit(datasets)
+    assert len(together) == len(datasets)
+    for dataset, rows in zip(datasets, together):
+        # the tables reuse the larger buffer of the joint fit
+        (alone,) = tables.fit([dataset])
+        for name, value in vars(alone).items():
+            np.testing.assert_array_equal(getattr(rows, name), value, err_msg=name)
+    # failed rows, with their NaN covariances, are compared too
+    ok = np.concatenate([rows.ok for rows in together])
+    assert (~ok).any() and (ok.any() or m <= k)
+
+
+def test_sweep_makes_one_newton_solve_per_chunk(example3_scenario, monkeypatch):
+    rows = []
+    newton = cox._newton
+
+    def counted(sets):
+        rows.append(sets.n_rows)
+        return newton(sets)
+
+    monkeypatch.setattr(cox, "_newton", counted)
+    grid = [1.0, 2.0, 4.0, 7.0, 10.0, math.inf]
+    bias_sweep(example3_scenario, grid, replicates=100)
+    # 17 chunks of at most 6 replicates; each solve fits the pooled data
+    # and both trials at every study end
+    assert len(rows) == 17
+    assert sum(rows) == 3 * len(grid) * 100
 
 
 def _sweep_by_replicate(scenario, grid, replicates):

@@ -750,6 +750,22 @@ class TestScenarioJson:
                 trial_effects=[[0.0], [0.1]], sizes=[10, 0], covariate_dist=bernoulli_half
             )
 
+    @pytest.mark.parametrize("effect", [800.0, -800.0])
+    def test_hazard_ratio_must_be_finite_and_positive_on_the_support(self, bernoulli_half, effect):
+        # e^800 overflows and e^-800 underflows at z = 1; both passed, and at
+        # +800 the simulator drew event times of 0 behind an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="over- or underflows"):
+                ScenarioSpec(
+                    trial_effects=[[effect], [0.1]], sizes=[10, 10], covariate_dist=bernoulli_half
+                )
+            with pytest.raises(ValueError, match="over- or underflows"):
+                simulate_trial([effect], 10, bernoulli_half, rng=np.random.default_rng(0))
+        # on the support {0, 0.5} the same effect is legal
+        law = CovariateDistribution(support=[[0.0], [0.5]], probs=[0.5, 0.5])
+        ScenarioSpec(trial_effects=[[effect], [0.1]], sizes=[10, 10], covariate_dist=law)
+
     @pytest.mark.parametrize("effect", [math.nan, math.inf, -math.inf])
     def test_effects_must_be_finite(self, bernoulli_half, effect):
         with pytest.raises(ValueError, match="trial effects must be finite"):
