@@ -157,8 +157,9 @@ class SweepResult:
 # count tables, which hold every dataset's and study end's event blocks.
 # On the Example-3 sweep (200 replicates x 6 study ends, 2 vCPUs), 6 makes
 # 34 solves where one solve per dataset made 102, for about 10% less
-# benchmark wall time and 0.6 MB more peak RSS; 12 was about 10% faster
-# again in-process and added another 1.7 MB.
+# benchmark wall time.  Against 6, in four 15 s benchmark runs each, 3
+# took about 20% more wall time for 1.3 MB (3%) less peak RSS, and 12 the
+# same time for 2.8 MB (6%) more.
 _SWEEP_CHUNK = 6
 
 # Count tables serve laws of at most this many support points per
@@ -283,10 +284,11 @@ def _sweep_fits(scenario, grid, replicates):
     (replicates, study ends) arrays, and the per-trial log hazard ratios
     of the cells whose pooled and trial fits all succeeded, as (trials,
     replicates, study ends, k); failed cells hold NaN.  Each chunk's
-    datasets are fitted by one call, which on the (int32) count tables is
-    one Newton solve over every dataset and on running sums one solve per
-    dataset.  The count tables are freed on return, before the plug-in
-    solve.
+    datasets are fitted by one call, which on the count tables is one
+    Newton solve over every dataset, each in its own columns of the one
+    layout, and on running sums one solve per dataset.  The count tables
+    and their work rows, reused by every chunk, are freed on return,
+    before the plug-in solve.
     """
     shape = (replicates, grid.size)
     theta_pl = np.full(shape, np.nan)
@@ -484,13 +486,22 @@ def breslow_limit_hazard(t, a: float, b: float, p: float, c_star: float):
 
     It needs a and b positive and finite, p in (0, 1), ``c_star``
     positive and finite and ``t`` finite and nonnegative; anything else
-    raises ValueError, as for the two limits below.
+    raises ValueError, as for the two limits below.  Numerator and
+    denominator are divided by e^{-lambda t}, lambda = min(a, b, 1), so
+    that a slowest-decaying term is 1 and the ratio stays finite where
+    every exponential would underflow.
     """
     _check_limit_args(a, b, p, c_star)
     t = _times(t, "t")
-    ea = np.exp(-a * t)
-    eb = np.exp(-b * t)
-    e1 = np.exp(-t)
+    slowest = min(a, b, 1.0)
+    # (rate - slowest) * t may overflow to inf, and e^-inf is the 0 it should be
+    with np.errstate(over="ignore"):
+        decay = [np.exp(-(rate - slowest) * t) for rate in (a, b, 1.0)]
+    return _limit_ratio(a, b, p, c_star, *decay)
+
+
+def _limit_ratio(a, b, p, c_star, ea, eb, e1):
+    """The Breslow limit from the three groups' decay terms, each rescaled."""
     return (p * a * ea + (1 - p) * b * eb + e1) / ((p * ea + (1 - p) * eb) * c_star + e1)
 
 
@@ -501,8 +512,9 @@ def breslow_limit_at_zero(a: float, b: float, p: float, c_star: float) -> float:
 
 def breslow_limit_at_infinity(a: float, b: float, p: float, c_star: float) -> float:
     _check_limit_args(a, b, p, c_star)
-    # the slowest-decaying treated group dominates the tail
-    return min(a, b) / c_star
+    # the groups of the slowest decay rate, min(a, b, 1), make the tail
+    slowest = min(a, b, 1.0)
+    return _limit_ratio(a, b, p, c_star, *(float(rate == slowest) for rate in (a, b, 1.0)))
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ contiguous (:class:`_BlockSums`), and come from one of two sources:
   one latent descending-time order serve every study end: each reads the
   suffix of event blocks up to its end.  One solve fits a chunk of
   replicates at every study end, for the pooled data and every trial at
-  once: each dataset's blocks take their own column range of one layout.
-  The at-risk and event counts are int32.  The sweep takes this path
-  only for laws of a few points per covariate, where O(m) beats a
-  running sum.
+  once: each dataset's blocks take their own column range of one layout,
+  and a likelihood evaluation reads it in one pass.  The at-risk and
+  event counts are int32, and they and the float64 work rows live in two
+  arrays that every later chunk reuses.  The sweep takes this path only
+  for laws of a few points per covariate, where O(m) beats a running sum.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class _RiskSets(_BlockSums):
         return self.risk_sums(w, out=s0), s1, s2, tmp
 
 
-class _CountTables:
+class _CountTables(_BlockSums):
     """Risk sets of uncensored data on a finite covariate support, capped at
     every study end, as at-risk counts per support point.
 
@@ -278,15 +279,13 @@ class _CountTables:
     sum_s counts[s, b] e^{beta' z_s} z_s^r over the m support points, not
     a running sum over every subject.
 
-    The counts and the event count d of every block are int32, which numpy
-    converts to float64 exactly in every product; a count could overflow
-    only with 2^31 subjects in a row, whose latent draw alone would need
-    16 GB.  They share one block layout, each dataset's blocks in its own
-    column range.  A likelihood evaluation reads it in two halves, the
-    first dataset and then the others (the pooled data and then its
-    trials, as wide as it together), so that the float64 sums and work
-    rows need only the wider half's width.  The tables and the work rows
-    live in one buffer that every :meth:`fit` reuses, so a sweep touches
+    Every dataset's blocks go into one layout, each in its own column
+    range, and a likelihood evaluation reads it in one pass.  The counts
+    and the event count d of every block are int32, which numpy converts
+    to float64 exactly in every product; a count could overflow only with
+    2^31 subjects in a row, whose latent draw alone would need 16 GB.
+    Two arrays, the int32 tables and the float64 sums and work row of an
+    evaluation, are reused by every later :meth:`fit`, so a sweep touches
     fresh memory only once.
     """
 
@@ -300,71 +299,30 @@ class _CountTables:
     def fit(self, latent) -> list[CoxRows]:
         """Fit every dataset of ``latent``, a list of (times, levels) pairs,
         at every study end in one Newton solve; one :class:`CoxRows` per dataset."""
-        self._load(latent)
-        rows = _newton(self)
-        size = self.n_rows // len(latent)
-        return [
-            CoxRows(**{name: v[i * size : (i + 1) * size] for name, v in vars(rows).items()})
-            for i in range(len(latent))
-        ]
-
-    def _load(self, latent) -> None:
-        halves = [half for half in (latent[:1], latent[1:]) if half]
-        # room for one block per subject: later fits of no more rows and
-        # subjects reuse the buffer, and its unused tail is never touched
-        widths = [self.study_ends.size * sum(times.size for times, _ in h) for h in halves]
+        # room for one block per subject: later fits of no more subjects
+        # reuse both arrays, and their unused tails are never touched
+        width = self.study_ends.size * sum(times.size for times, _ in latent)
         m, k = len(self.support), self.k
-        if self._tables.shape[1] < sum(widths) or self._work.shape[1] < max(widths):
-            # rows: S0, S1_j, S2_jm and one work row, then, viewed as
-            # int32, the counts per level and d
-            rows, width = 2 + k + k * (k + 1) // 2, max(widths)
-            buffer = np.empty(rows * width + ((m + 1) * sum(widths) + 1) // 2)
-            self._work = buffer[: rows * width].reshape(rows, width)
-            ints = buffer[rows * width :].view(np.int32)[: (m + 1) * sum(widths)]
-            self._tables = ints.reshape(m + 1, sum(widths))
-        self._halves, start = [], 0
-        for half, width in zip(halves, widths):
-            tables = self._tables[:, start : start + width]
-            self._halves.append(
-                _TableBlocks(self.support, self.study_ends, half, tables, self._work)
-            )
-            start += width
-        for name in ("n_events", "no_contrast", "short_rank"):
-            setattr(self, name, np.concatenate([getattr(h, name) for h in self._halves]))
-        self.n_rows = self.n_events.size
-
-    def loglik_score_info(self, beta: np.ndarray):
-        """:meth:`_BlockSums.loglik_score_info` of each half in turn, rows in order."""
-        parts, start = [], 0
-        for half in self._halves:
-            parts.append(half.loglik_score_info(beta[start : start + half.n_rows]))
-            start += half.n_rows
-        return tuple(np.concatenate(values) for values in zip(*parts))
-
-
-class _TableBlocks(_BlockSums):
-    """The count tables of a run of datasets in one block layout.
-
-    Loads each latent dataset of :class:`_CountTables` in turn into
-    ``tables`` (counts per level, then d), its fitted rows g * R + r
-    following the previous dataset's; ``work`` holds the float64 sums and
-    the work row of an evaluation.
-    """
-
-    def __init__(self, support, study_ends, latent, tables: np.ndarray, work: np.ndarray):
-        self.support = support
-        self.k = support.shape[1]
-        self.study_ends = study_ends
+        if self._tables.shape[1] < width:
+            # rows: the counts per level, then d
+            self._tables = np.empty((m + 1, width), dtype=np.int32)
+            # rows: S0, S1_j, S2_jm and one work row
+            self._work = np.empty((2 + k + k * (k + 1) // 2, width))
         per_row, size = [], 0
         for times, levels in latent:
-            per_row.append(self._load(times, levels, tables[:, size:]))
+            per_row.append(self._load(times, levels, self._tables[:, size:]))
             size += per_row[-1][-1].sum()
         self.n_events, self.no_contrast, self.short_rank, self.z_event_sum, lengths = (
             np.concatenate(values) for values in zip(*per_row)
         )
-        m = len(support)
-        self.counts, self._scratch = tables[:m, :size], work[:, :size]
-        self._set_blocks(tables[m, :size], lengths)
+        self.counts, self._scratch = self._tables[:m, :size], self._work[:, :size]
+        self._set_blocks(self._tables[m, :size], lengths)
+        rows = _newton(self)
+        each = self.n_rows // len(latent)
+        return [
+            CoxRows(**{name: v[i * each : (i + 1) * each] for name, v in vars(rows).items()})
+            for i in range(len(latent))
+        ]
 
     def _load(self, times: np.ndarray, levels: np.ndarray, tables: np.ndarray):
         """Write one dataset's counts and d from the first column of ``tables``.

@@ -349,10 +349,17 @@ def _draw_latent(effect, size: int, dist: CovariateDistribution, baseline, rng):
     The levels index ``dist.support``; times come from inverse-transform
     sampling T = H0^{-1}(E / exp(effect' Z)) with E a unit exponential.
     Levels are drawn before times, so the stream is consumed in that order.
+    A time that overflows (a subnormal hazard ratio, or a baseline such as
+    a Weibull of tiny shape) raises ValueError.
     """
     levels = rng.choice(dist.support.shape[0], size=size, p=dist.probs)
     unit = rng.exponential(size=size)
-    latent = np.asarray(baseline(unit / np.exp(dist.support[levels] @ effect)), dtype=float)
+    with np.errstate(over="ignore"):
+        latent = np.asarray(baseline(unit / np.exp(dist.support[levels] @ effect)), dtype=float)
+    if not np.all(np.isfinite(latent)):
+        raise ValueError(
+            f"a latent event time overflows at trial effect {effect.tolist()} under {baseline}"
+        )
     return levels, latent
 
 

@@ -206,6 +206,15 @@ class TestBiasSweep:
         with pytest.raises(ValueError, match="scenario's censoring must be none"):
             bias_sweep(spec, [1.0, math.inf], replicates=100)
 
+    def test_rejects_overflowing_latent_time(self, example3_scenario):
+        # e^-720 is subnormal, so every treated time overflowed: the sweep
+        # warned and returned NaN at every study end
+        spec = replace(example3_scenario, trial_effects=((-720.0,), (-0.2,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="latent event time overflows"):
+                bias_sweep(spec, [1.0, math.inf], replicates=100)
+
     @pytest.mark.parametrize(
         "law",
         [
@@ -307,6 +316,31 @@ class TestBreslowLimit:
         tail = breslow_limit_hazard(400.0, a, b, p, c_star)
         assert tail == pytest.approx(a / c_star, abs=1e-12)
         assert breslow_limit_at_infinity(a, b, p, c_star) == pytest.approx(a / c_star, abs=1e-15)
+
+    def test_hazard_finite_where_every_exponential_underflows(self):
+        # e^-1000 and e^-2000 are 0, so the unscaled ratio was 0 / 0; and
+        # a * t overflowed at a = t = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = breslow_limit_hazard([2000.0], 0.5, 1.0, 0.5, 0.7)
+            far = breslow_limit_hazard([1e300], 1e300, 1.0, 0.5, 0.7)
+            assert far[0] == breslow_limit_at_infinity(1e300, 1.0, 0.5, 0.7)
+        assert tail[0] == pytest.approx(0.5 / 0.7, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(2.0, 3.0), (1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (3.0, 0.5), (0.5, 1.0), (0.5, 0.5), (1.0, 0.3)],
+    )
+    def test_limit_at_infinity_is_the_tail(self, a, b):
+        # unless min(a, b) < 1, the control group (rate 1) decays no faster
+        # than the treated: at (2, 3) the hazard is 1.0 where min(a, b) /
+        # c_star read 0.843
+        c_star = float(solve_cpl_binary(a, b, 0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = breslow_limit_hazard(400.0, a, b, 0.5, c_star)
+            limit = breslow_limit_at_infinity(a, b, 0.5, c_star)
+        assert limit == pytest.approx(tail, rel=1e-12)
 
     def test_homogeneous_is_flat(self):
         t = np.linspace(0, 5, 50)

@@ -702,6 +702,23 @@ class TestSimulateAndSweep:
         assert "over- or underflows on the covariate law's support" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_overflowing_latent_time_exits_2(self, capsys, tmp_path, example3_scenario, command):
+        # e^-720 is subnormal, so the treated times overflow: simulate warned
+        # and exited 2, sweep warned and exited 0 with every row NaN
+        config = scenario_to_json(example3_scenario)
+        config["trial_effects"][0] = [-720.0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--scenario", str(path), "--out", str(tmp_path / "x.csv")]
+        if command == "sweep":
+            argv += ["--tmax-grid", "1,inf", "--replicates", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert "latent event time overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize(
         "censoring",
         [{"kind": "exponential", "rate": 0.7}, {"kind": "administrative", "t_max": 3.0}],

@@ -18,6 +18,7 @@ from hrmix import (
     CovariateDistribution,
     DimensionMismatchError,
     ExponentialCensoring,
+    IdentityBaseline,
     NoCensoring,
     ParseError,
     ScenarioSpec,
@@ -142,6 +143,20 @@ class TestSimulateTrial:
         # an infinite shape would make every time equal to scale, an infinite rate every time 0
         with pytest.raises(ValueError, match="must be positive and finite"):
             make(math.inf)
+
+    @pytest.mark.parametrize(
+        "effect, baseline",
+        [(-720.0, IdentityBaseline()), (0.5, WeibullBaseline(0.001))],
+        ids=["subnormal-hazard-ratio", "weibull-tiny-shape"],
+    )
+    def test_overflowing_latent_time_rejected(self, bernoulli_half, effect, baseline):
+        # E / e^-720 and E^1000 overflow: the overflow warning escaped before
+        # TrialDataset rejected the infinite times
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="latent event time overflows"):
+                simulate_trial([effect], 50, bernoulli_half, baseline=baseline, rng=rng)
 
     def test_determinism_and_stream_independence(self, example3_scenario):
         a = pool(simulate_scenario(example3_scenario, replicate=5))
